@@ -19,11 +19,11 @@ from pathlib import Path
 from .analysis import AnalysisError
 from .reduction import DEFAULT_FUEL, FUEL_EXHAUSTED, normalize
 from .script import (
+    Diagnostic,
     Env,
-    RunResult,
     _analysis_report,
+    _define,
     _elab_term,
-    _elab_type,
     dump,
     prelude_env,
     run_script,
@@ -47,8 +47,8 @@ def _print_parse_error(path: str, source: str, e: ParseError) -> None:
     print(f"{path}:{line}:{col}: error[parse-error]: {e.message}")
 
 
-def _print_diagnostics(path: str, source: str, result: RunResult) -> None:
-    for d in result.diagnostics:
+def _print_diagnostics(path: str, source: str, diagnostics: list[Diagnostic]) -> None:
+    for d in diagnostics:
         line, col = _position(source, d.span[0])
         head, *rest = d.message.splitlines() or [""]
         if d.severity == "error":
@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
             parse_failed = True
             continue
         result = run_script(script, args.fuel, env=base, trace=args.trace)
-        _print_diagnostics(path, source, result)
+        _print_diagnostics(path, source, result.diagnostics)
         if not result.ok:
             check_failed = True
         checked.extend(result.checked)
@@ -98,7 +98,7 @@ def _cmd_check(args) -> int:
         (args.dump_systemf, "systemf"),
     ):
         if flag:
-            Path(flag).write_bytes(dump(checked, what, args.fuel))
+            Path(flag).write_bytes(dump(checked, what))
 
     if parse_failed:
         return EXIT_USAGE
@@ -121,11 +121,14 @@ def _cmd_analyze(args) -> int:
     failed = False
     reported = 0
     for stmt in script.statements:
-        if isinstance(stmt, TermDef):
-            env.terms[stmt.name] = _elab_term(stmt.term, env)
+        if not isinstance(stmt, (TermDef, TypeDef)):
+            continue
+        diag = _define(stmt, env)
+        if diag is not None:
+            _print_diagnostics(args.file, source, [diag])
+            failed = True
         elif isinstance(stmt, TypeDef):
-            rel = _elab_type(stmt.rel, env)
-            env.types[stmt.name] = rel
+            rel = env.types[stmt.name]
             print(f"{stmt.name}:")
             try:
                 for line in _analysis_report(rel, args.fuel):

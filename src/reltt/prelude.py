@@ -67,10 +67,12 @@ from .syntax import (
     Var,
     alpha_eq,
     all_,
+    free_type_vars,
     free_vars,
     fresh,
     lam,
     open_type,
+    subst_tvar,
 )
 from .systemf import (
     DAbs,
@@ -82,12 +84,10 @@ from .systemf import (
     FDerivation,
     FTVar,
     FType,
-    close_ftype,
     embed_f,
     fall,
-    free_ftvars,
     identity_term,
-    open_ftype,
+    is_f_type,
     pair_term,
     project_type,
     rename_ftvars,
@@ -220,21 +220,11 @@ class Rec(DerivedForm):
 
 
 def _require_f_shaped(r: RelType, who: str) -> None:
-    match r:
-        case TVar(_) | TBound(_):
-            return
-        case Arrow(d, c):
-            _require_f_shaped(d, who)
-            _require_f_shaped(c, who)
-        case All(_, b):
-            _require_f_shaped(b, who)
-        case Conv(_) | Comp(_, _) | Promote(_):
-            raise PreludeError(
-                MALFORMED_PARAMETER,
-                f"{who} needs a System F-shaped parameter (no converse, composition, or promotion)",
-            )
-        case _:
-            raise TypeError(f"not a type: {r!r}")
+    if not is_f_type(r):
+        raise PreludeError(
+            MALFORMED_PARAMETER,
+            f"{who} needs a System F-shaped parameter (no converse, composition, or promotion)",
+        )
 
 
 def expand(form: DerivedForm) -> RelType:
@@ -335,10 +325,6 @@ def gen_rebuild(x: str, r: RelType) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _subst_ftvar(replacement: FType, name: str, target: FType) -> FType:
-    return open_ftype(close_ftype(target, name), replacement)
-
-
 def gen_fmap_deriv(
     x: str,
     r: RelType,
@@ -404,12 +390,10 @@ def _fmap_build(
             kept = DAbs(a, FArrow(t, t), DAbs(b, hom, DVar(a)))
             return DApp(kept, DAbs(z, t, DVar(z)))
         case Arrow(dom, cod):
-            ft_dom = project_type(dom)
-            ft_cod = project_type(cod)
-            a1 = rename_ftvars(ft_dom, {x: src})
-            a2 = rename_ftvars(ft_cod, {x: src})
-            b1 = rename_ftvars(ft_dom, {x: dst})
-            b2 = rename_ftvars(ft_cod, {x: dst})
+            a1 = rename_ftvars(dom, {x: src})
+            a2 = rename_ftvars(cod, {x: src})
+            b1 = rename_ftvars(dom, {x: dst})
+            b2 = rename_ftvars(cod, {x: dst})
             f = fresh("f", taken)
             a = fresh("a", taken | {f})
             xa = fresh("x", taken | {f, a})
@@ -454,8 +438,7 @@ def _fmap_build(
 def dparam_ftype(x: str, r: RelType) -> FType:
     """The parametric datatype's F type: forall X. (R -> X) -> X."""
     _require_f_shaped(r, "the parametric datatype")
-    fr = project_type(r)
-    return fall(x, FArrow(FArrow(fr, FTVar(x)), FTVar(x)))
+    return fall(x, FArrow(FArrow(r, FTVar(x)), FTVar(x)))
 
 
 def gen_fold_deriv(
@@ -470,10 +453,9 @@ def gen_fold_deriv(
     constructor it needs no positivity of the parameter.
     """
     _require_f_shaped(r, "the fold")
-    fr = project_type(r)
     d = dparam_ftype(x, r)
     nb = fresh(x, set(avoid_tvars))
-    fr_nb = rename_ftvars(fr, {x: nb})
+    fr_nb = rename_ftvars(r, {x: nb})
     a = fresh("a", set(avoid))
     xv = fresh("x", set(avoid) | {a})
     body = DApp(DInst(FTVar(nb), DVar(xv)), DVar(a))
@@ -493,9 +475,8 @@ def gen_in_deriv(
             POLARITY_VIOLATION,
             f"'{x}' does not occur only positively in the parameter",
         )
-    fr = project_type(r)
     d = dparam_ftype(x, r)
-    d_sub = _subst_ftvar(d, x, fr)
+    d_sub = subst_tvar(d, x, r)
 
     taken = set(avoid)
     xv = fresh("x", taken)
@@ -514,7 +495,7 @@ def gen_in_deriv(
     )
 
     body = DApp(DVar(a), DApp(DApp(fmap_at, fold_at), DVar(xv)))
-    return DAbs(xv, d_sub, DGen(x, DAbs(a, FArrow(fr, FTVar(x)), body)))
+    return DAbs(xv, d_sub, DGen(x, DAbs(a, FArrow(r, FTVar(x)), body)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +527,14 @@ BOOL_F = fall("X", FArrow(FTVar("X"), FArrow(FTVar("X"), FTVar("X"))))
 
 
 def _sum_f(a: FType, b: FType) -> FType:
-    y = fresh("Y", free_ftvars(a) | free_ftvars(b))
+    y = fresh("Y", free_type_vars((a, b)))
     return fall(
         y, FArrow(FArrow(a, FTVar(y)), FArrow(FArrow(b, FTVar(y)), FTVar(y)))
     )
 
 
 def _prod_f(a: FType, b: FType) -> FType:
-    x = fresh("X", free_ftvars(a) | free_ftvars(b))
+    x = fresh("X", free_type_vars((a, b)))
     return fall(x, FArrow(FArrow(a, FArrow(b, FTVar(x))), FTVar(x)))
 
 
@@ -835,7 +816,7 @@ def stdlib() -> dict[str, StdlibEntry]:
             FArrow(NAT_F, FTVar("X")),
         ),
     )
-    in_f = FArrow(_subst_ftvar(NAT_F, "X", project_type(_ONE_PLUS_X)), NAT_F)
+    in_f = FArrow(subst_tvar(NAT_F, "X", project_type(_ONE_PLUS_X)), NAT_F)
     rebuild_f = FArrow(NAT_F, NAT_F)
     nat_op = [
         ("I", id_f, DGen("A", DAbs("x", a, DVar("x")))),

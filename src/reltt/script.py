@@ -4,7 +4,9 @@ diagnostics, structured dumps, and the generated library file.
 A script's statements run in order against an environment of named terms,
 types, and checked proofs. Definitions are expanded eagerly at their use
 sites, so stored payloads never contain defined names; because the core
-representation is locally nameless, expansion cannot capture binders.
+representation is locally nameless, expansion cannot capture binders. A
+definition is expanded once, when it is defined, so a name defined later
+never reaches into it.
 Defined proof names are not abbreviations inside later proof terms; a proof
 term referring to one is reported as an unbound proof variable.
 
@@ -14,7 +16,8 @@ diagnostics for independent ones. Exit status is success exactly when no
 error diagnostics were produced.
 
 Dumps are line-delimited JSON with sorted keys, UTF-8, rendered through the
-surface syntax so terms and types round-trip through the parser.
+surface syntax so terms and types round-trip through the parser. The System F
+dump re-checks each proof under the fuel it was checked with.
 """
 
 from __future__ import annotations
@@ -75,14 +78,13 @@ from .syntax import (
     free_type_vars,
     subst_term_multi,
     subst_terms_in_type,
-    subst_tvar,
+    subst_tvars,
 )
 from .systemf import (
     FError,
     erase_proof,
     project_ctx,
     project_derivation,
-    rel_of_ftype,
     validate_f,
 )
 
@@ -101,6 +103,7 @@ class CheckedProof:
     ctx: Context
     judgment: Judgment
     proof: Proof
+    fuel: int  # the fuel the proof was checked under; dumps re-check with it
 
 
 @dataclass
@@ -146,9 +149,8 @@ def _elab_term(t: Term, env: Env) -> Term:
 
 
 def _elab_type(r: RelType, env: Env) -> RelType:
-    for name, definition in env.types.items():
-        if name in free_type_vars(r):
-            r = subst_tvar(definition, name, r)
+    if env.types:
+        r = subst_tvars(env.types, r)
     if env.terms:
         r = subst_terms_in_type(env.terms, r)
     return r
@@ -162,6 +164,18 @@ def _elab_entry(e: ContextEntry, env: Env) -> ContextEntry:
 
 def _elab_judgment(j: Judgment, env: Env) -> Judgment:
     return Judgment(_elab_term(j.left, env), _elab_type(j.rel, env), _elab_term(j.right, env))
+
+
+def _define(stmt: TermDef | TypeDef, env: Env) -> Diagnostic | None:
+    """Add a `def` or `type` to env, expanded once against the definitions
+    before it. A name that is already defined is an error and is skipped."""
+    if stmt.name in env.terms or stmt.name in env.types:
+        return Diagnostic("error", stmt.span, "redefinition", f"'{stmt.name}' is already defined")
+    if isinstance(stmt, TermDef):
+        env.terms[stmt.name] = _elab_term(stmt.term, env)
+    else:
+        env.types[stmt.name] = _elab_type(stmt.rel, env)
+    return None
 
 
 def _elab_proof(p: Proof, env: Env) -> Proof:
@@ -257,16 +271,10 @@ def run_script(
 
     for stmt in script.statements:
         match stmt:
-            case TermDef(name, term, span):
-                if name in env.terms or name in env.types:
-                    error(span, "redefinition", f"'{name}' is already defined")
-                    continue
-                env.terms[name] = _elab_term(term, env)
-            case TypeDef(name, rel, span):
-                if name in env.types or name in env.terms:
-                    error(span, "redefinition", f"'{name}' is already defined")
-                    continue
-                env.types[name] = _elab_type(rel, env)
+            case TermDef() | TypeDef():
+                diag = _define(stmt, env)
+                if diag is not None:
+                    diags.append(diag)
             case ProofDef(name, ctx, declared, proof, span):
                 if name in env.proofs:
                     error(span, "redefinition", f"'{name}' is already defined")
@@ -279,7 +287,7 @@ def run_script(
                 except KernelError as e:
                     error(e.location or span, e.kind, str(e))
                     continue
-                record = CheckedProof(name, ctx2, judgment, proof2)
+                record = CheckedProof(name, ctx2, judgment, proof2, file_fuel)
                 env.proofs[name] = record
                 checked.append(record)
                 info(span, f"proof {name}: {render_judgment(judgment)}")
@@ -327,7 +335,7 @@ def run_script(
 # ---------------------------------------------------------------------------
 
 
-def _records(entries: list[CheckedProof], what: str, fuel: int = DEFAULT_FUEL) -> list[dict]:
+def _records(entries: list[CheckedProof], what: str) -> list[dict]:
     records = []
     for e in entries:
         if what == "judgments":
@@ -343,13 +351,13 @@ def _records(entries: list[CheckedProof], what: str, fuel: int = DEFAULT_FUEL) -
             records.append({"name": e.name, "erasure": render_term(erase_proof(e.proof))})
         elif what == "systemf":
             try:
-                deriv = project_derivation(e.ctx, e.proof, e.judgment, fuel)
+                deriv = project_derivation(e.ctx, e.proof, e.judgment, e.fuel)
                 subject, ftype = validate_f(project_ctx(e.ctx), deriv)
                 records.append(
                     {
                         "name": e.name,
                         "subject": render_term(subject),
-                        "type": render_type(rel_of_ftype(ftype)),
+                        "type": render_type(ftype),
                     }
                 )
             except (KernelError, FError) as err:
@@ -359,11 +367,8 @@ def _records(entries: list[CheckedProof], what: str, fuel: int = DEFAULT_FUEL) -
     return records
 
 
-def dump(entries: list[CheckedProof], what: str, fuel: int = DEFAULT_FUEL) -> bytes:
-    lines = [
-        json.dumps(r, sort_keys=True, ensure_ascii=False)
-        for r in _records(entries, what, fuel)
-    ]
+def dump(entries: list[CheckedProof], what: str) -> bytes:
+    lines = [json.dumps(r, sort_keys=True, ensure_ascii=False) for r in _records(entries, what)]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 

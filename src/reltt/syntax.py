@@ -9,7 +9,9 @@ substitution needs no renaming.
 Every term or type handed across a public API is locally closed (no dangling
 indices). Code that needs to look under a binder opens it with a fresh free
 variable and closes again afterwards; `open_term`/`close_term` and
-`open_type`/`close_type` are the only places indices are touched.
+`open_type`/`close_type` are the only places indices are touched. System F
+types are relational types too (see `systemf.is_f_type`), so they share these
+binder operations rather than keeping their own.
 
 Term variables and type variables live in separate namespaces. Types contain
 terms (inside `Promote`), terms never contain types, and no term binder scopes
@@ -231,19 +233,24 @@ def open_type(body: RelType, repl: RelType, depth: int = 0) -> RelType:
 
 def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:
     """[replacement/tvar]target on type variables."""
+    return subst_tvars({tvar: replacement}, target)
+
+
+def subst_tvars(sigma: dict[str, RelType], target: RelType) -> RelType:
+    """Simultaneous substitution of free type variables."""
     match target:
         case TVar(n):
-            return replacement if n == tvar else target
+            return sigma.get(n, target)
         case TBound(_):
             return target
         case Arrow(d, c):
-            return Arrow(subst_tvar(replacement, tvar, d), subst_tvar(replacement, tvar, c))
+            return Arrow(subst_tvars(sigma, d), subst_tvars(sigma, c))
         case All(h, b):
-            return All(h, subst_tvar(replacement, tvar, b))
+            return All(h, subst_tvars(sigma, b))
         case Conv(x):
-            return Conv(subst_tvar(replacement, tvar, x))
+            return Conv(subst_tvars(sigma, x))
         case Comp(l, r):
-            return Comp(subst_tvar(replacement, tvar, l), subst_tvar(replacement, tvar, r))
+            return Comp(subst_tvars(sigma, l), subst_tvars(sigma, r))
         case Promote(_):
             return target
     raise TypeError(f"not a type: {target!r}")

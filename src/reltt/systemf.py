@@ -18,6 +18,11 @@ Four jobs live here:
 manufactures a new proof whose judgment relates the erasure to its dotted
 copy at the projected type.
 
+System F types are not a syntax of their own: they are the relational types
+that `is_f_type` accepts (type variables, arrows and universals only), and
+`FType`, `FTVar`, `FArrow`, `FAll` and `fall` are aliases for those
+constructors.
+
 The dotted copy uses the reserved `_dot` name suffix. Surface scripts cannot
 mention such names, which is what makes the renaming an injection into
 untouched territory.
@@ -25,7 +30,7 @@ untouched territory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import (
     PApp,
@@ -62,11 +67,15 @@ from .syntax import (
     TVar,
     Term,
     Var,
+    all_,
     alpha_eq,
+    close_type,
+    free_type_vars,
     free_vars,
     fresh,
     lam,
     open_type,
+    subst_tvars,
 )
 
 DOT_SUFFIX = "_dot"
@@ -85,86 +94,31 @@ def is_dotted(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class FType:
-    __slots__ = ()
+# Aliases that keep F-side code reading as System F (see the module docstring).
+FType = RelType
+FTVar = TVar
+FTBound = TBound
+FArrow = Arrow
+FAll = All
+fall = all_
 
 
-@dataclass(frozen=True)
-class FTVar(FType):
-    name: str
-
-
-@dataclass(frozen=True)
-class FTBound(FType):
-    index: int
-
-
-@dataclass(frozen=True)
-class FArrow(FType):
-    dom: FType
-    cod: FType
-
-
-@dataclass(frozen=True)
-class FAll(FType):
-    hint: str = field(compare=False)
-    body: FType
-
-
-def fall(name: str, body: FType) -> FAll:
-    return FAll(name, close_ftype(body, name))
-
-
-def close_ftype(t: FType, name: str, depth: int = 0) -> FType:
-    match t:
-        case FTVar(n):
-            return FTBound(depth) if n == name else t
-        case FTBound(_):
-            return t
-        case FArrow(d, c):
-            return FArrow(close_ftype(d, name, depth), close_ftype(c, name, depth))
-        case FAll(h, b):
-            return FAll(h, close_ftype(b, name, depth + 1))
-    raise TypeError(f"not an F type: {t!r}")
-
-
-def open_ftype(body: FType, repl: FType, depth: int = 0) -> FType:
-    match body:
-        case FTVar(_):
-            return body
-        case FTBound(i):
-            return repl if i == depth else body
-        case FArrow(d, c):
-            return FArrow(open_ftype(d, repl, depth), open_ftype(c, repl, depth))
-        case FAll(h, b):
-            return FAll(h, open_ftype(b, repl, depth + 1))
-    raise TypeError(f"not an F type: {body!r}")
-
-
-def free_ftvars(t: FType) -> set[str]:
-    match t:
-        case FTVar(n):
-            return {n}
-        case FTBound(_):
-            return set()
-        case FArrow(d, c):
-            return free_ftvars(d) | free_ftvars(c)
-        case FAll(_, b):
-            return free_ftvars(b)
-    raise TypeError(f"not an F type: {t!r}")
+def is_f_type(r: RelType) -> bool:
+    """Whether r is a System F type: no converse, composition or promotion."""
+    match r:
+        case TVar(_) | TBound(_):
+            return True
+        case Arrow(d, c):
+            return is_f_type(d) and is_f_type(c)
+        case All(_, b):
+            return is_f_type(b)
+        case Conv(_) | Comp(_, _) | Promote(_):
+            return False
+    raise TypeError(f"not a type: {r!r}")
 
 
 def rename_ftvars(t: FType, mapping: dict[str, str]) -> FType:
-    match t:
-        case FTVar(n):
-            return FTVar(mapping.get(n, n))
-        case FTBound(_):
-            return t
-        case FArrow(d, c):
-            return FArrow(rename_ftvars(d, mapping), rename_ftvars(c, mapping))
-        case FAll(h, b):
-            return FAll(h, rename_ftvars(b, mapping))
-    raise TypeError(f"not an F type: {t!r}")
+    return subst_tvars({old: TVar(new) for old, new in mapping.items()}, t)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +184,12 @@ def _fctx_lookup(delta: FContext, name: str) -> FType | None:
 
 
 def _fctx_ftvars(delta: FContext) -> set[str]:
-    out: set[str] = set()
-    for _, t in delta:
-        out |= free_ftvars(t)
-    return out
+    return free_type_vars([t for _, t in delta])
+
+
+def _require_f_type(t: FType, what: str) -> None:
+    if not is_f_type(t):
+        raise FError(RULE_MISMATCH, f"{what} is not a System F type")
 
 
 def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
@@ -241,6 +197,8 @@ def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
     names = [n for n, _ in delta]
     if len(set(names)) != len(names):
         raise FError(F_FRESHNESS_VIOLATION, "duplicate variable in context")
+    for n, t in delta:
+        _require_f_type(t, f"the context type of '{n}'")
     return _validate(delta, d)
 
 
@@ -256,6 +214,7 @@ def _validate(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
                 raise FError(
                     F_FRESHNESS_VIOLATION, f"binder '{binder}' shadows a declared variable"
                 )
+            _require_f_type(ann, f"the annotation of '{binder}'")
             t, ty = _validate(delta + ((binder, ann),), body)
             return lam(binder, t), FArrow(ann, ty)
         case DApp(fn, arg):
@@ -275,10 +234,11 @@ def _validate(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
             t, ty = _validate(delta, body)
             return t, fall(tvar, ty)
         case DInst(arg, body):
+            _require_f_type(arg, "the instantiation argument")
             t, ty = _validate(delta, body)
             if not isinstance(ty, FAll):
                 raise FError(RULE_MISMATCH, "instantiation head is not universal")
-            return t, open_ftype(ty.body, arg)
+            return t, open_type(ty.body, arg)
     raise TypeError(f"not an F derivation: {d!r}")
 
 
@@ -344,16 +304,16 @@ def project_type(r: RelType) -> FType:
         case All(h, b):
             x = fresh(h or "X", free_vars(r)[1])
             inner = project_type(open_type(b, TVar(x)))
-            return FAll(h, close_ftype(inner, x))
+            return FAll(h, close_type(inner, x))
         case Conv(inner):
             return project_type(inner)
         case Comp(l, rr):
             a = project_type(l)
             b = project_type(rr)
-            z = fresh("Z", free_ftvars(a) | free_ftvars(b))
+            z = fresh("Z", free_type_vars((a, b)))
             return FAll(
                 "Z",
-                close_ftype(FArrow(FArrow(a, FArrow(b, FTVar(z))), FTVar(z)), z),
+                close_type(FArrow(FArrow(a, FArrow(b, FTVar(z))), FTVar(z)), z),
             )
         case Promote(_):
             return fall("X", FArrow(FTVar("X"), FTVar("X")))
@@ -365,18 +325,10 @@ def project_ctx(ctx: Context) -> FContext:
 
 
 def rel_of_ftype(t: FType) -> RelType:
-    """Inject a System F type into the relational syntax (structure-parallel,
-    so indices carry over unchanged)."""
-    match t:
-        case FTVar(n):
-            return TVar(n)
-        case FTBound(i):
-            return TBound(i)
-        case FArrow(d, c):
-            return Arrow(rel_of_ftype(d), rel_of_ftype(c))
-        case FAll(h, b):
-            return All(h, rel_of_ftype(b))
-    raise TypeError(f"not an F type: {t!r}")
+    """The identity, since F types already are relational types. Kept only
+    because the benchmark worker (`perfbench/worker.py`) and the tests call
+    it."""
+    return t
 
 
 def project_derivation(
@@ -451,7 +403,7 @@ def _pair_derivation(delta: FContext, a: FType, b: FType) -> FDerivation:
     x = fresh("x", names)
     y = fresh("y", names | {x})
     c = fresh("c", names | {x, y})
-    z = fresh("Z", _fctx_ftvars(delta) | free_ftvars(a) | free_ftvars(b))
+    z = fresh("Z", _fctx_ftvars(delta) | free_type_vars((a, b)))
     return DAbs(
         x,
         a,
@@ -519,7 +471,7 @@ def embed_f(delta: FContext, d: FDerivation) -> tuple[Context, Proof]:
     _require_undotted_deriv(d)
     validate_f(delta, d)
     ctx = tuple(
-        ContextEntry(name, Var(name), rel_of_ftype(ty), Var(dot_name(name)))
+        ContextEntry(name, Var(name), ty, Var(dot_name(name)))
         for name, ty in delta
     )
     env = {name: name for name, _ in delta}
@@ -556,7 +508,7 @@ def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
             return PLam(
                 u,
                 binder,
-                rel_of_ftype(ann),
+                ann,
                 dot_name(binder),
                 _embed(body, inner_env, inner_avoid),
             )
@@ -565,7 +517,7 @@ def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
         case DGen(tvar, body):
             return PTyLam(tvar, _embed(body, env, avoid))
         case DInst(arg, body):
-            return PTyApp(_embed(body, env, avoid), rel_of_ftype(arg))
+            return PTyApp(_embed(body, env, avoid), arg)
     raise TypeError(f"not an F derivation: {d!r}")
 
 
@@ -588,7 +540,7 @@ def weaken_f(
         raise FError(SHADOWING_VIOLATION, f"'{name}' is already declared")
     widened = delta[:at] + (insert,) + delta[at:]
     taken = {n for n, _ in widened} | _collect_binders(d)
-    renamed = _rename_clashes(d, {}, {}, {name}, free_ftvars(ftype), taken)
+    renamed = _rename_clashes(d, {}, {}, {name}, free_type_vars(ftype), taken)
     validate_f(widened, renamed)
     return renamed
 

@@ -15,7 +15,7 @@ from reltt.script import (
     run_script,
 )
 from reltt.surface import parse
-from reltt.syntax import Var, lam
+from reltt.syntax import Arrow, TVar, Var, lam
 
 IDENTITY_PROOF = "proof {name} : [u : a [R] b] |- a [R] b := u"
 
@@ -220,3 +220,53 @@ def test_cli_rejects_unknown_subcommands(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+
+
+CHURCH_2 = "(\\f. \\x. f (f x))"
+CHURCH_3 = "(\\f. \\x. f (f (f x)))"
+
+
+def conversion_proof(steps_term):
+    return f"proof slow : [u : {steps_term} [R] b] |- a [R] b := a <| u |> b"
+
+
+def test_cli_systemf_dump_uses_the_fuel_the_proof_was_checked_with(tmp_path, capsys):
+    # 60 steps: past the command line's fuel, within the file's pragma.
+    slow = f"{CHURCH_2} {CHURCH_2} {CHURCH_2} (\\y. y) a"
+    f = tmp_path / "pragma.rtt"
+    f.write_text("#fuel 5000\n" + conversion_proof(slow) + "\n")
+    out = tmp_path / "f.jsonl"
+    args = ["check", str(f), "--no-prelude", "--fuel", "10", "--dump-systemf", str(out)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    record = json.loads(out.read_text())
+    assert "error" not in record, record
+    assert record["type"] == "R"
+
+
+def test_dump_command_uses_the_fuel_pragma_above_the_default():
+    # 14929 steps, beyond the default fuel of 10000.
+    slow = f"{CHURCH_3} {CHURCH_2} {CHURCH_3} (\\y. y) a"
+    res = run("#fuel 20000\n" + conversion_proof(slow) + "\n#dump systemf")
+    assert res.ok, [d.message for d in res.diagnostics]
+    record = json.loads([d.message for d in res.diagnostics if d.severity == "info"][-1])
+    assert "error" not in record, record
+    assert record["name"] == "slow" and record["type"] == "R"
+
+
+def test_type_definitions_are_fixed_when_defined():
+    res = run("type A := X -> X\ntype X := R -> R\nproof p : [u : a [A] b] |- a [A] b := u")
+    assert res.ok
+    assert res.env.types["A"] == Arrow(TVar("X"), TVar("X"))
+    assert res.checked[0].judgment.rel == Arrow(TVar("X"), TVar("X"))
+
+
+def test_cli_analyze_reports_redefinitions_like_check(tmp_path, capsys):
+    f = tmp_path / "twice.rtt"
+    f.write_text("type A := all X. X -> X\ntype A := R -> R\n")
+    assert main(["analyze", str(f), "--no-prelude"]) == EXIT_CHECK
+    out = capsys.readouterr().out
+    assert f"{f}:2:1: error[redefinition]: 'A' is already defined" in out
+    assert out.count("A:") == 1 and "quantifier class: posOnly" in out
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_CHECK
+    assert f"{f}:2:1: error[redefinition]: 'A' is already defined" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from reltt.syntax import (
     subst_term_multi,
     subst_terms_in_type,
     subst_tvar,
+    subst_tvars,
     term_size,
 )
 
@@ -157,3 +158,15 @@ def test_conv_comp_promote_compare_structurally():
     assert Conv(TVar("R")) != TVar("R")
     assert Comp(TVar("R"), TVar("S")) != Comp(TVar("S"), TVar("R"))
     assert Promote(lam("x", Var("x"))) == Promote(lam("y", Var("y")))
+
+
+def test_subst_tvars_is_simultaneous():
+    a, b = TVar("A"), TVar("B")
+    swapped = subst_tvars({"A": b, "B": a}, Arrow(a, Comp(b, Conv(a))))
+    assert swapped == Arrow(b, Comp(a, Conv(b)))
+    assert subst_tvars({"A": b}, all_("A", a)) == all_("A", a)
+
+
+@given(type_strategy(), type_strategy())
+def test_subst_tvar_is_the_one_variable_subst_tvars(r, s):
+    assert subst_tvar(s, "X", r) == subst_tvars({"X": s}, r)

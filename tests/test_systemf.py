@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from generators import type_strategy
+from reltt import syntax, systemf
 from reltt.kernel import (
     PApp,
     PConv,
@@ -36,9 +37,11 @@ from reltt.syntax import (
 from reltt.systemf import (
     DOTTED_COLLISION,
     F_FRESHNESS_VIOLATION,
+    RULE_MISMATCH,
     SHADOWING_VIOLATION,
     DAbs,
     DGen,
+    DInst,
     DVar,
     FArrow,
     FError,
@@ -49,6 +52,7 @@ from reltt.systemf import (
     fall,
     identity_term,
     is_dotted,
+    is_f_type,
     project_ctx,
     project_derivation,
     project_type,
@@ -210,3 +214,36 @@ def test_composition_projection_validates_pairing():
     subject, ftype = validate_f(project_ctx(ctx), deriv)
     assert alpha_eq(subject, erase_proof(proof))
     assert ftype == project_type(Comp(R, TVar("S")))
+
+
+def test_f_types_are_relational_types():
+    assert systemf.FType is syntax.RelType
+    assert systemf.FTVar is syntax.TVar
+    assert systemf.FTBound is syntax.TBound
+    assert systemf.FArrow is syntax.Arrow
+    assert systemf.FAll is syntax.All
+    assert F_IDENT == all_("X", Arrow(TVar("X"), TVar("X")))
+    assert is_f_type(F_BOOL)
+    for r in (Conv(R), Comp(R, R), Promote(Var("t")), Arrow(R, all_("X", Conv(TVar("X"))))):
+        assert not is_f_type(r)
+
+
+@given(type_strategy())
+def test_projection_lands_in_f_types(r):
+    assert is_f_type(project_type(r))
+
+
+@pytest.mark.parametrize(
+    "delta, deriv",
+    [
+        ((), DAbs("x", Conv(TVar("A")), DVar("x"))),
+        ((), DInst(Promote(Var("t")), D_IDENT)),
+        ((("x", Comp(TVar("A"), TVar("B"))),), DVar("x")),
+    ],
+    ids=["annotation", "instantiation", "context"],
+)
+def test_validation_rejects_types_outside_system_f(delta, deriv):
+    for bridge in (validate_f, embed_f):
+        with pytest.raises(FError) as e:
+            bridge(delta, deriv)
+        assert e.value.kind == RULE_MISMATCH
