@@ -5,9 +5,13 @@ library, printing one line per diagnostic and echoing every checked
 judgment. `reltt analyze FILE` reports variable polarities, the quantifier
 class, and the symmetric/transitive shape analyses for each type definition.
 `reltt normalize "TERM"` normalizes a term given on the command line.
+`--fuel N` sets the step budget of every conversion; N must be a
+non-negative integer, and 0 is allowed.
 
 Exit codes: 0 on success, 1 when a check fails, 2 on parse or configuration
-failure.
+failure (a negative `--fuel` included), 3 on an internal error. An internal
+error prints one `reltt: error[internal]: <Type>: <message>` line instead of
+a traceback; it is always a bug, never a verdict on the input.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .surface import ParseError, TermDef, TypeDef, parse, parse_term, render_ter
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -160,6 +165,16 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+def _fuel(text: str) -> int:
+    try:
+        fuel = int(text)
+        if fuel >= 0:
+            return fuel
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reltt", description="Check relational typing proof scripts."
@@ -168,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check proof script files")
     p_check.add_argument("files", nargs="+", metavar="FILE")
-    p_check.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_check.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
     p_check.add_argument("--no-prelude", action="store_true")
     p_check.add_argument("--dump-judgments", metavar="PATH")
     p_check.add_argument("--dump-erasure", metavar="PATH")
@@ -178,13 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="report type analyses for a file")
     p_analyze.add_argument("file", metavar="FILE")
-    p_analyze.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_analyze.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
     p_analyze.add_argument("--no-prelude", action="store_true")
     p_analyze.set_defaults(run=_cmd_analyze)
 
     p_norm = sub.add_parser("normalize", help="normalize a term")
     p_norm.add_argument("term", metavar="TERM")
-    p_norm.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_norm.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
     p_norm.add_argument("--no-prelude", action="store_true")
     p_norm.set_defaults(run=_cmd_normalize)
     return parser
@@ -196,7 +211,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    return args.run(args)
+    try:
+        return args.run(args)
+    except Exception as e:  # e.g. RecursionError on very deep input
+        message = " ".join(str(e).splitlines())
+        print(f"reltt: error[internal]: {type(e).__name__}: {message}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

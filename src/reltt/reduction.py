@@ -7,6 +7,17 @@ subterm is reduced. Normal-order reduction finds a normal form whenever one
 exists, which is what makes a fuel-bounded equality check honest: "distinct"
 is only ever reported for terms that genuinely reached distinct normal forms.
 
+A step works on the de Bruijn indices directly, also under binders. Beta
+turns `App(Lam(h, body), arg)` into `subst_bound(body, 0, arg)`; eta turns
+`Lam(h, App(f, Bound(0)))`, with index 0 absent from f, into `shift_term(f,
+-1)`; any other lambda is stepped inside and rebuilt with its hint unchanged.
+No fresh names are made and no binder is opened and closed again. So a step
+costs a walk down the path to the redex (with an occurrence check under each
+eta-shaped lambda on it) plus the size of the redex: its body, one scan of
+its argument, and, only if the argument has indices bound further out, one
+shifted copy of it per occurrence. Each step still starts again at the
+root.
+
 Conversion never guesses. If fuel runs out before both sides normalize, the
 result is "undecided", and callers treat that as failure, not equality.
 """
@@ -15,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import App, Bound, Lam, Term, Var, alpha_eq, free_term_vars, fresh, open_term, close_term
+from .syntax import App, Bound, Lam, Term, Var, alpha_eq, bound_occurs, shift_term, subst_bound
+from .syntax import open_term  # noqa: F401  (perfbench/test_perfbench.py checks it stays unwrapped)
 
 DEFAULT_FUEL = 10000
 
@@ -35,29 +47,31 @@ class NormalizeResult:
 
 
 def step(t: Term) -> Term | None:
-    """One leftmost-outermost beta-eta step, or None if t is normal."""
-    match t:
-        case App(Lam(_, body), arg):
-            return open_term(body, arg)
-        case Lam(hint, _):
-            x = fresh(hint or "x", free_term_vars(t))
-            body = open_term(t.body, Var(x))
-            if isinstance(body, App) and body.arg == Var(x) and x not in free_term_vars(body.fn):
-                return body.fn
-            inner = step(body)
-            if inner is None:
-                return None
-            return Lam(hint, close_term(inner, x))
-        case App(fn, arg):
-            s = step(fn)
-            if s is not None:
-                return App(s, arg)
-            s = step(arg)
-            if s is not None:
-                return App(fn, s)
-            return None
-        case Var(_) | Bound(_):
-            return None
+    """One leftmost-outermost beta-eta step, or None if t is normal.
+
+    Steps under binders without opening them, so the subterms it recurses
+    into may carry indices bound further out.
+    """
+    ty = type(t)  # not `match`, for speed; see the index primitives in `syntax`
+    if ty is App:
+        fn, arg = t.fn, t.arg
+        if type(fn) is Lam:
+            return subst_bound(fn.body, 0, arg)
+        s = step(fn)
+        if s is not None:
+            return App(s, arg)
+        s = step(arg)
+        if s is not None:
+            return App(fn, s)
+        return None
+    if ty is Lam:
+        body = t.body
+        if type(body) is App and body.arg == Bound(0) and not bound_occurs(body.fn, 0):
+            return shift_term(body.fn, -1)
+        inner = step(body)
+        return None if inner is None else Lam(t.hint, inner)
+    if ty is Var or ty is Bound:
+        return None
     raise TypeError(f"not a term: {t!r}")
 
 

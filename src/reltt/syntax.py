@@ -8,7 +8,9 @@ substitution needs no renaming.
 
 Every term or type handed across a public API is locally closed (no dangling
 indices). Code that needs to look under a binder opens it with a fresh free
-variable and closes again afterwards; `open_term`/`close_term` and
+variable and closes again afterwards. The one exception is reduction, which
+steps under binders without opening them, using `shift_term`, `subst_bound`
+and `bound_occurs`. Those three, `open_term`/`close_term` and
 `open_type`/`close_type` are the only places indices are touched. System F
 types are relational types too (see `systemf.is_f_type`), so they share these
 binder operations rather than keeping their own.
@@ -93,6 +95,78 @@ def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
     raise TypeError(f"not a term: {body!r}")
 
 
+# The index primitives below sit on the reduction hot path, so they dispatch
+# on `type(t) is ...` rather than `match`: class patterns cost several times
+# more per node, and these run once per node of every contractum.
+
+
+def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Add `by` to every index at or above `cutoff`; unchanged subterms are reused."""
+    ty = type(t)
+    if ty is App:
+        f, a = t.fn, t.arg
+        nf = shift_term(f, by, cutoff)
+        na = shift_term(a, by, cutoff)
+        return t if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        b = t.body
+        nb = shift_term(b, by, cutoff + 1)
+        return t if nb is b else Lam(t.hint, nb)
+    if ty is Bound:
+        return Bound(t.index + by) if t.index >= cutoff else t
+    if ty is Var:
+        return t
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subst_bound(body: Term, index: int, arg: Term) -> Term:
+    """Beta-substitute `arg` for the index `index` of a binder's `body`.
+
+    `arg` lives outside the binder, so where it lands under `index` binders
+    it is shifted up by `index`; the indices above `index` lose the binder
+    and drop by one. `subst_bound(body, 0, arg)` is the contractum of
+    `App(Lam(_, body), arg)`, with no fresh name and no open/close. A locally
+    closed `arg` is never shifted, and unchanged subterms are reused.
+    """
+    closed = locally_closed_term(arg)
+
+    def go(t: Term, j: int) -> Term:
+        ty = type(t)
+        if ty is App:
+            f, a = t.fn, t.arg
+            nf = go(f, j)
+            na = go(a, j)
+            return t if nf is f and na is a else App(nf, na)
+        if ty is Lam:
+            b = t.body
+            nb = go(b, j + 1)
+            return t if nb is b else Lam(t.hint, nb)
+        if ty is Bound:
+            i = t.index
+            if i != j:
+                return Bound(i - 1) if i > j else t
+            return arg if closed else shift_term(arg, j)
+        if ty is Var:
+            return t
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(body, index)
+
+
+def bound_occurs(t: Term, index: int) -> bool:
+    """Whether the index `index` (counted from outside `t`) occurs in `t`."""
+    ty = type(t)
+    if ty is App:
+        return bound_occurs(t.fn, index) or bound_occurs(t.arg, index)
+    if ty is Lam:
+        return bound_occurs(t.body, index + 1)
+    if ty is Bound:
+        return t.index == index
+    if ty is Var:
+        return False
+    raise TypeError(f"not a term: {t!r}")
+
+
 def subst_term(replacement: Term, var: str, target: Term) -> Term:
     """[replacement/var]target. Capture-avoiding by representation."""
     return subst_term_multi({var: replacement}, target)
@@ -124,15 +198,15 @@ def term_size(t: Term) -> int:
 
 
 def locally_closed_term(t: Term, depth: int = 0) -> bool:
-    match t:
-        case Var(_):
-            return True
-        case Bound(i):
-            return i < depth
-        case Lam(_, b):
-            return locally_closed_term(b, depth + 1)
-        case App(f, a):
-            return locally_closed_term(f, depth) and locally_closed_term(a, depth)
+    ty = type(t)  # not `match`: `subst_bound` runs this on every beta argument
+    if ty is App:
+        return locally_closed_term(t.fn, depth) and locally_closed_term(t.arg, depth)
+    if ty is Lam:
+        return locally_closed_term(t.body, depth + 1)
+    if ty is Bound:
+        return t.index < depth
+    if ty is Var:
+        return True
     raise TypeError(f"not a term: {t!r}")
 
 

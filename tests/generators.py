@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from reltt.syntax import (
     App,
     Arrow,
+    Bound,
     Comp,
     Conv,
+    Lam,
     Promote,
     RelType,
     Term,
@@ -27,6 +29,8 @@ from reltt.syntax import (
 
 TERM_NAMES = ("a", "b", "c", "f", "x", "y")
 TYPE_NAMES = ("X", "Y", "Z")
+# Binder hints: some shadow the free names above, one is empty.
+HINTS = ("x", "y", "f", "x1", "")
 
 
 def term_strategy(max_leaves: int = 10) -> st.SearchStrategy[Term]:
@@ -124,3 +128,29 @@ def random_type(rng: random.Random, size: int) -> RelType:
         cut = rng.randint(1, size - 1)
         return Comp(random_type(rng, cut), random_type(rng, size - cut))
     return Promote(random_term(rng, max(size - 1, 1)))
+
+
+def random_redex_term(rng: random.Random, size: int, depth: int = 0) -> Term:
+    """Random locally closed term with free names, nested binders and many redexes.
+
+    Built directly with de Bruijn indices, so binder hints vary independently
+    of the bound occurrences (including hints that clash with free names and
+    empty ones). Some lambdas are eta-shaped, about half the applications
+    have a lambda in head position, and self-applications make some terms
+    diverge or grow.
+    """
+    if size <= 1 or rng.random() < 0.1:
+        if depth and rng.random() < 0.7:
+            return Bound(rng.randrange(depth))
+        return Var(rng.choice(TERM_NAMES))
+    roll = rng.random()
+    if roll < 0.3:
+        return Lam(rng.choice(HINTS), random_redex_term(rng, size - 1, depth + 1))
+    if roll < 0.4:  # eta-shaped; an eta redex unless index 0 also occurs in the function
+        return Lam(rng.choice(HINTS), App(random_redex_term(rng, size - 1, depth + 1), Bound(0)))
+    cut = rng.randint(1, size - 1)
+    if roll < 0.7:
+        fn = Lam(rng.choice(HINTS), random_redex_term(rng, max(cut - 1, 1), depth + 1))
+    else:
+        fn = random_redex_term(rng, cut, depth)
+    return App(fn, random_redex_term(rng, size - cut, depth))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given
 
-from generators import affine_terms, term_strategy
+import oracle_lambda as oracle
+import reference_reduction as reference
+from generators import affine_terms, random_redex_term, term_strategy
 from reltt.reduction import (
     DISTINCT,
     EQUAL,
@@ -15,7 +19,9 @@ from reltt.reduction import (
     normalize,
     step,
 )
-from reltt.syntax import App, Var, alpha_eq, app, lam, term_size
+from reltt.prelude import numeral, stdlib
+from reltt.surface import render_term
+from reltt.syntax import App, Bound, Lam, Term, Var, alpha_eq, app, lam, term_size
 
 I = lam("x", Var("x"))
 OMEGA = App(lam("x", App(Var("x"), Var("x"))), lam("x", App(Var("x"), Var("x"))))
@@ -111,3 +117,64 @@ def test_affine_terms_normalize_within_their_size(t):
     assert r.status == NORMAL
     assert r.steps_used <= term_size(t)
     assert conv_check(t, t, 10 * term_size(t)) == EQUAL
+
+
+def test_beta_under_binders_shifts_the_argument():
+    # \y. (\x. \z. x) y: the argument y (index 0) lands under the binder z.
+    t = Lam("y", App(Lam("x", Lam("z", Bound(1))), Bound(0)))
+    assert step(t) == Lam("y", Lam("z", Bound(1)))
+    # \y. \x. (\z. z x) y: x is index 1 under z, and drops to 0 after the step.
+    t = Lam("y", Lam("x", App(Lam("z", App(Bound(0), Bound(1))), Bound(1))))
+    assert step(t) == Lam("y", Lam("x", App(Bound(1), Bound(0))))
+
+
+def test_eta_under_a_binder_lowers_outer_indices():
+    # \y. \x. y x  eta-contracts to  \y. y, the eta redex sitting under y.
+    t = Lam("y", Lam("x", App(Bound(1), Bound(0))))
+    assert step(t) == Lam("y", Bound(0))
+    assert normalize(t).term == lam("f", Var("f"))
+
+
+def _named(t: Term, scope: tuple[str, ...] = ()):
+    """The oracle's named form of a locally closed term; binders become _0, _1, ..."""
+    match t:
+        case Var(n):
+            return oracle.V(n)
+        case Bound(i):
+            return oracle.V(scope[i])
+        case Lam(_, b):
+            v = f"_{len(scope)}"
+            return oracle.L(v, _named(b, (v,) + scope))
+        case App(f, a):
+            return oracle.A(_named(f, scope), _named(a, scope))
+
+
+def test_differential_against_the_open_close_engine_and_the_oracle():
+    rng = random.Random(20211)
+    stuck = 0
+    for _ in range(5000):
+        t = random_redex_term(rng, rng.randint(1, 16))
+        # Half the budgets are small, so fuel often runs out mid-normalization.
+        fuel = rng.randint(0, 60 if rng.random() < 0.5 else 8)
+        got = normalize(t, fuel)
+        want = reference.normalize(t, fuel)
+        assert got.status == want.status, (t, fuel)
+        assert got.steps_used == want.steps_used, (t, fuel)
+        assert got.term == want.term, (t, fuel)
+        assert render_term(got.term) == render_term(want.term), (t, fuel)
+        nf, used, finished = oracle.normalize(_named(t), fuel)
+        assert finished == (got.status == NORMAL), (t, fuel)
+        if finished:
+            assert used == got.steps_used, (t, fuel)
+            assert oracle.canon(nf) == oracle.canon(_named(got.term)), (t, fuel)
+        else:
+            stuck += 1
+    # The sweep exercises both verdicts, not just terms that are already normal.
+    assert 200 < stuck < 2000
+
+
+def test_add_four_four_step_count_is_pinned():
+    add = stdlib()["add"].term
+    r = normalize(app(add, numeral(4), numeral(4)))
+    assert r.status == NORMAL and r.steps_used == 385
+    assert conv_check(app(add, numeral(4), numeral(4)), numeral(8)) == EQUAL

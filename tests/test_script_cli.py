@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from reltt.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
+from reltt.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from reltt.script import (
     dump,
     export_prelude,
@@ -270,3 +271,37 @@ def test_cli_analyze_reports_redefinitions_like_check(tmp_path, capsys):
     assert out.count("A:") == 1 and "quantifier class: posOnly" in out
     assert main(["check", str(f), "--no-prelude"]) == EXIT_CHECK
     assert f"{f}:2:1: error[redefinition]: 'A' is already defined" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "analyze", "normalize"])
+def test_cli_negative_fuel_is_a_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "ok.rtt"
+    f.write_text(IDENTITY_PROOF.format(name="p") + "\n")
+    target = "(\\x. x) y" if command == "normalize" else str(f)
+    assert main([command, target, "--no-prelude", "--fuel", "-3"]) == EXIT_USAGE
+    assert "non-negative" in capsys.readouterr().err
+    assert main([command, target, "--no-prelude", "--fuel", "0"]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """The interpreter's stock limit, as a fresh `reltt` process has it."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def test_cli_internal_error_is_one_line_and_exit_3(tmp_path, capsys, default_recursion_limit):
+    deep = "(" * 600 + "x" + ")" * 600
+    assert main(["normalize", deep, "--no-prelude"]) == EXIT_INTERNAL
+    out = capsys.readouterr().out
+    assert out.startswith("reltt: error[internal]: RecursionError: ")
+    assert out.count("\n") == 1
+    f = tmp_path / "deep.rtt"
+    f.write_text(f"def d := {deep}\n")
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_INTERNAL
+    out = capsys.readouterr().out
+    assert out.startswith("reltt: error[internal]: RecursionError: ")
+    assert out.count("\n") == 1
