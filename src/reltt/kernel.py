@@ -15,6 +15,10 @@ Side conditions are enforced eagerly:
        the annotation, or the synthesized body type;
   (**) a composition eliminator's middle variable may not escape into the
        body judgment or any ambient data.
+Both are tested against the context's free term and type names, passed down
+the derivation: the outermost binder on a path collects them from the
+context once, and each binder extends them with the names its new entries
+bring, so no side condition re-collects the names of the whole context.
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -245,7 +249,8 @@ def _conv_side(declared: Term, synthesized: Term, fuel: int, side: str, span) ->
     )
 
 
-def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
+def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]] | None) -> RelPfNode:
+    """Derive `p` under `ctx`; `names` is `free_vars(ctx)`, or None until a binder needs it."""
     match p:
         case PVar(name):
             entry = ctx_lookup(ctx, name)
@@ -265,13 +270,14 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
                     FRESHNESS_VIOLATION, f"proof variable '{pvar}' already assumed", p.span
                 )
             entry = ContextEntry(pvar, Var(subj_l), rel, Var(subj_r))
-            bnode = _derive(ctx + (entry,), body, fuel)
+            terms, types = names or free_vars(ctx)
+            ann_terms, ann_types = free_vars(rel)
+            inner = (terms | ann_terms | {subj_l, subj_r}, types | ann_types)
+            bnode = _derive(ctx + (entry,), body, fuel, inner)
             bj = bnode.judgment
-            ambient_terms, _ = free_vars(ctx)
-            ann_terms, _ = free_vars(rel)
             res_terms, _ = free_vars(bj.rel)
             for binder in (subj_l, subj_r):
-                if binder in ambient_terms or binder in ann_terms or binder in res_terms:
+                if binder in terms or binder in ann_terms or binder in res_terms:
                     raise KernelError(
                         FRESHNESS_VIOLATION,
                         f"subject binder '{binder}' occurs free in the context or types",
@@ -281,8 +287,8 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, judgment, (bnode,))
 
         case PApp(fn, arg):
-            fnode = _derive(ctx, fn, fuel)
-            anode = _derive(ctx, arg, fuel)
+            fnode = _derive(ctx, fn, fuel, names)
+            anode = _derive(ctx, arg, fuel, names)
             fj, aj = fnode.judgment, anode.judgment
             if not isinstance(fj.rel, Arrow):
                 raise KernelError(NOT_AN_ARROW, "application head does not have an arrow type", p.span)
@@ -296,7 +302,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, judgment, (fnode, anode))
 
         case PTyApp(fn, rel):
-            fnode = _derive(ctx, fn, fuel)
+            fnode = _derive(ctx, fn, fuel, names)
             fj = fnode.judgment
             if not isinstance(fj.rel, All):
                 raise KernelError(NOT_A_UNIVERSAL, "type application head is not universal", p.span)
@@ -304,9 +310,9 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, judgment, (fnode,))
 
         case PTyLam(tvar, body):
-            bnode = _derive(ctx, body, fuel)
-            _, ambient_types = free_vars(ctx)
-            if tvar in ambient_types:
+            names = names or free_vars(ctx)
+            bnode = _derive(ctx, body, fuel, names)
+            if tvar in names[1]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
                     f"type variable '{tvar}' occurs free in the context",
@@ -317,19 +323,19 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, judgment, (bnode,))
 
         case PConv(left, body, right):
-            bnode = _derive(ctx, body, fuel)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             _conv_side(left, bj.left, fuel, "left", p.span)
             _conv_side(right, bj.right, fuel, "right", p.span)
             return _node(p, ctx, Judgment(left, bj.rel, right), (bnode,))
 
         case PConvI(body):
-            bnode = _derive(ctx, body, fuel)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             return _node(p, ctx, Judgment(bj.right, Conv(bj.rel), bj.left), (bnode,))
 
         case PConvE(body):
-            bnode = _derive(ctx, body, fuel)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not isinstance(bj.rel, Conv):
                 raise KernelError(
@@ -342,7 +348,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, judgment, ())
 
         case PRho(guide_var, guide_l, guide_r, eq, body):
-            enode = _derive(ctx, eq, fuel)
+            enode = _derive(ctx, eq, fuel, names)
             ej = enode.judgment
             if not isinstance(ej.rel, Promote):
                 raise KernelError(
@@ -351,7 +357,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             applied = App(ej.rel.term, ej.left)
             expect_l = subst_term_multi({guide_var: applied}, guide_l)
             expect_r = subst_term_multi({guide_var: applied}, guide_r)
-            bnode = _derive(ctx, body, fuel)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not (alpha_eq(bj.left, expect_l) and alpha_eq(bj.right, expect_r)):
                 raise KernelError(
@@ -364,8 +370,8 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
             return _node(p, ctx, Judgment(result, bj.rel, result_r), (enode, bnode))
 
         case PPair(left, right, mid):
-            lnode = _derive(ctx, left, fuel)
-            rnode = _derive(ctx, right, fuel)
+            lnode = _derive(ctx, left, fuel, names)
+            rnode = _derive(ctx, right, fuel, names)
             lj, rj = lnode.judgment, rnode.judgment
             if not (alpha_eq(lj.right, rj.left) and alpha_eq(lj.right, mid)):
                 raise KernelError(
@@ -383,7 +389,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
                     "composition eliminator binders must be pairwise distinct",
                     p.span,
                 )
-            snode = _derive(ctx, scrutinee, fuel)
+            snode = _derive(ctx, scrutinee, fuel, names)
             sj = snode.judgment
             if not isinstance(sj.rel, Comp):
                 raise KernelError(
@@ -398,18 +404,11 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
                 ContextEntry(pvar_l, sj.left, sj.rel.left, Var(mid_var)),
                 ContextEntry(pvar_r, Var(mid_var), sj.rel.right, sj.right),
             )
-            bnode = _derive(inner, body, fuel)
+            terms, types = names or free_vars(ctx)
+            scrut_terms, scrut_types = free_vars(sj)
+            bnode = _derive(inner, body, fuel, (terms | scrut_terms | {mid_var}, types | scrut_types))
             bj = bnode.judgment
-            ambient_terms, _ = free_vars(ctx)
-            escape = ambient_terms.union(
-                free_vars(bj.left)[0],
-                free_vars(bj.rel)[0],
-                free_vars(bj.right)[0],
-                free_vars(sj.left)[0],
-                free_vars(sj.rel)[0],
-                free_vars(sj.right)[0],
-            )
-            if mid_var in escape:
+            if mid_var in terms or mid_var in scrut_terms or mid_var in free_vars(bj)[0]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
                     f"middle variable '{mid_var}' escapes the composition eliminator",
@@ -423,7 +422,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel).judgment
+    return _derive(ctx, p, fuel, None).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -446,4 +445,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel)
+    return _derive(ctx, p, fuel, None)

@@ -73,11 +73,7 @@ from .syntax import (
     Var,
     all_,
     fresh,
-    free_term_vars,
-    free_type_vars,
     lam,
-    open_term,
-    open_type,
 )
 from .systemf import is_dotted
 
@@ -703,53 +699,139 @@ def parse_proof(source: str, allow_dotted: bool = False) -> Proof:
 # Renderers
 # ---------------------------------------------------------------------------
 
+# Binders are never opened for printing. The renderer carries `env`, the names
+# chosen for the enclosing binders (innermost last), so `Bound(i)` prints as
+# `env[-1-i]`, or as `?i` when it dangles out of the rendered term. A binder
+# keeps its hint unless the hint clashes with a name its body can see: a free
+# name of the body, or the name of an enclosing binder that one of the body's
+# dangling indices points to. `_term_scope`/`_type_scope` collect both in one
+# bottom-up pass per render call, memoized by node identity, so shared
+# subterms are scanned once. Each name is the one `fresh` would pick against
+# the free names of the body opened with the enclosing binders' names, which
+# is what makes the output parse back alpha-equal.
+
+_EMPTY: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _term_scope(t: Term, memo: dict) -> tuple[frozenset[str], frozenset[int]]:
+    """Free names of `t`, and the indices that dangle out of `t` (counted from outside `t`)."""
+    key = id(t)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    ty = type(t)
+    if ty is App:
+        fn_names, fn_ixs = _term_scope(t.fn, memo)
+        arg_names, arg_ixs = _term_scope(t.arg, memo)
+        found = (_union(fn_names, arg_names), _union(fn_ixs, arg_ixs))
+    elif ty is Lam:
+        names, ixs = _term_scope(t.body, memo)
+        found = (names, frozenset(i - 1 for i in ixs if i) if ixs else ixs)
+    elif ty is Var:
+        found = (frozenset((t.name,)), _EMPTY)
+    elif ty is Bound:
+        found = (_EMPTY, frozenset((t.index,)))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[key] = found
+    return found
+
+
+def _type_scope(r: RelType, memo: dict) -> tuple[frozenset[str], frozenset[int]]:
+    """Free type names of `r`, and the type indices that dangle out of `r`."""
+    key = id(r)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    ty = type(r)
+    if ty is Arrow or ty is Comp:
+        x, y = (r.dom, r.cod) if ty is Arrow else (r.left, r.right)
+        x_names, x_ixs = _type_scope(x, memo)
+        y_names, y_ixs = _type_scope(y, memo)
+        found = (_union(x_names, y_names), _union(x_ixs, y_ixs))
+    elif ty is All:
+        names, ixs = _type_scope(r.body, memo)
+        found = (names, frozenset(i - 1 for i in ixs if i) if ixs else ixs)
+    elif ty is Conv:
+        found = _type_scope(r.rel, memo)
+    elif ty is TVar:
+        found = (frozenset((r.name,)), _EMPTY)
+    elif ty is TBound:
+        found = (_EMPTY, frozenset((r.index,)))
+    elif ty is Promote:  # terms contain no type variables
+        found = (_EMPTY, _EMPTY)
+    else:
+        raise TypeError(f"not a type: {r!r}")
+    memo[key] = found
+    return found
+
+
+def _binder_name(hint: str, scope: tuple[frozenset[str], frozenset[int]], env: list[str]) -> str:
+    """The name a binder prints under: its hint, unless that clashes with a visible name."""
+    names, ixs = scope
+    depth = len(env)
+    outer = {env[-1 - i] for i in ixs if i < depth}
+    return fresh(hint, names.union(outer) if outer else names)
+
 
 def render_term(t: Term) -> str:
-    return _rt(t, 0)
+    return _rt(t, 0, [], {})
 
 
-def _rt(t: Term, prec: int) -> str:
+def _rt(t: Term, prec: int, env: list[str], memo: dict) -> str:
     # prec 0: lambda body; 1: application; 2: atom
     match t:
         case Var(n):
             return n
         case Bound(i):
-            return f"?{i}"
+            return env[-1 - i] if i < len(env) else f"?{i}"
         case Lam(h, b):
-            nm = fresh(h or "x", free_term_vars(b))
-            body = _rt(open_term(b, Var(nm)), 0)
+            nm = _binder_name(h or "x", _term_scope(t, memo), env)
+            env.append(nm)
+            body = _rt(b, 0, env, memo)
+            env.pop()
             s = f"\\{nm}. {body}"
             return f"({s})" if prec > 0 else s
         case App(f, a):
-            s = f"{_rt(f, 1)} {_rt(a, 2)}"
+            s = f"{_rt(f, 1, env, memo)} {_rt(a, 2, env, memo)}"
             return f"({s})" if prec > 1 else s
     raise TypeError(f"not a term: {t!r}")
 
 
 def render_type(r: RelType) -> str:
-    return _rr(r, 0)
+    return _rr(r, 0, [], {})
 
 
-def _rr(r: RelType, prec: int) -> str:
+def _rr(r: RelType, prec: int, env: list[str], memo: dict) -> str:
     # prec 0: quantifier body; 1: arrow; 2: composition; 3: converse; 4: atom
     match r:
         case TVar(n):
             return n
         case TBound(i):
-            return f"?{i}"
+            return env[-1 - i] if i < len(env) else f"?{i}"
         case All(h, b):
-            nm = fresh(h or "X", free_type_vars(b))
-            body = _rr(open_type(b, TVar(nm)), 0)
+            nm = _binder_name(h or "X", _type_scope(r, memo), env)
+            env.append(nm)
+            body = _rr(b, 0, env, memo)
+            env.pop()
             s = f"all {nm}. {body}"
             return f"({s})" if prec > 0 else s
         case Arrow(d, c):
-            s = f"{_rr(d, 2)} -> {_rr(c, 1)}"
+            s = f"{_rr(d, 2, env, memo)} -> {_rr(c, 1, env, memo)}"
             return f"({s})" if prec > 1 else s
         case Comp(l, rr):
-            s = f"{_rr(l, 3)} * {_rr(rr, 2)}"
+            s = f"{_rr(l, 3, env, memo)} * {_rr(rr, 2, env, memo)}"
             return f"({s})" if prec > 2 else s
         case Conv(b):
-            return f"{_rr(b, 4)}^"
+            return f"{_rr(b, 4, env, memo)}^"
         case Promote(t):
             return "{" + render_term(t) + "}"
     raise TypeError(f"not a type: {r!r}")
@@ -777,7 +859,7 @@ def _rp(p: Proof, prec: int) -> str:
             s = f"{_rp(f, 1)} {{{render_type(r)}}}"
             return f"({s})" if prec > 1 else s
         case PConv(l, body, rr):
-            s = f"{_rt(l, 2)} <| {_rp(body, 0)} |> {_rt(rr, 2)}"
+            s = f"{_rt(l, 2, [], {})} <| {_rp(body, 0)} |> {_rt(rr, 2, [], {})}"
             return f"({s})" if prec > 0 else s
         case PConvI(body):
             s = f"conv_i {_rp(body, 2)}"

@@ -8,10 +8,13 @@ substitution needs no renaming.
 
 Every term or type handed across a public API is locally closed (no dangling
 indices). Code that needs to look under a binder opens it with a fresh free
-variable and closes again afterwards. The one exception is reduction, which
+variable and closes again afterwards. There are two exceptions. Reduction
 steps under binders without opening them, using `shift_term`, `subst_bound`
-and `bound_occurs`. Those three, `open_term`/`close_term` and
-`open_type`/`close_type` are the only places indices are touched. System F
+and `bound_occurs`. The renderer (`surface.render_term`, `render_type`)
+never opens a body: it prints an index as the name it chose for that
+binder, from an environment of the names chosen so far. Apart from those
+two, only `open_term`/`close_term` and `open_type`/`close_type` touch
+indices, and all of these reuse the subterms they leave unchanged. System F
 types are relational types too (see `systemf.is_f_type`), so they share these
 binder operations rather than keeping their own.
 
@@ -69,29 +72,40 @@ def app(fn: Term, *args: Term) -> Term:
 
 
 def close_term(t: Term, name: str, depth: int = 0) -> Term:
-    match t:
-        case Var(n):
-            return Bound(depth) if n == name else t
-        case Bound(_):
-            return t
-        case Lam(h, b):
-            return Lam(h, close_term(b, name, depth + 1))
-        case App(f, a):
-            return App(close_term(f, name, depth), close_term(a, name, depth))
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+    ty = type(t)
+    if ty is App:
+        f, a = t.fn, t.arg
+        nf = close_term(f, name, depth)
+        na = close_term(a, name, depth)
+        return t if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        b = t.body
+        nb = close_term(b, name, depth + 1)
+        return t if nb is b else Lam(t.hint, nb)
+    if ty is Var:
+        return Bound(depth) if t.name == name else t
+    if ty is Bound:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 
 def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
     """Instantiate the outermost binder's index in `body` with `repl`."""
-    match body:
-        case Var(_):
-            return body
-        case Bound(i):
-            return repl if i == depth else body
-        case Lam(h, b):
-            return Lam(h, open_term(b, repl, depth + 1))
-        case App(f, a):
-            return App(open_term(f, repl, depth), open_term(a, repl, depth))
+    ty = type(body)
+    if ty is App:
+        f, a = body.fn, body.arg
+        nf = open_term(f, repl, depth)
+        na = open_term(a, repl, depth)
+        return body if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        b = body.body
+        nb = open_term(b, repl, depth + 1)
+        return body if nb is b else Lam(body.hint, nb)
+    if ty is Bound:
+        return repl if body.index == depth else body
+    if ty is Var:
+        return body
     raise TypeError(f"not a term: {body!r}")
 
 
@@ -268,40 +282,48 @@ def all_(name: str, body: RelType) -> All:
 
 
 def close_type(r: RelType, name: str, depth: int = 0) -> RelType:
-    match r:
-        case TVar(n):
-            return TBound(depth) if n == name else r
-        case TBound(_):
-            return r
-        case Arrow(d, c):
-            return Arrow(close_type(d, name, depth), close_type(c, name, depth))
-        case All(h, b):
-            return All(h, close_type(b, name, depth + 1))
-        case Conv(x):
-            return Conv(close_type(x, name, depth))
-        case Comp(l, rr):
-            return Comp(close_type(l, name, depth), close_type(rr, name, depth))
-        case Promote(_):
-            return r  # terms contain no type variables
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+    ty = type(r)
+    if ty is Arrow or ty is Comp:
+        x, y = (r.dom, r.cod) if ty is Arrow else (r.left, r.right)
+        nx = close_type(x, name, depth)
+        ny = close_type(y, name, depth)
+        return r if nx is x and ny is y else ty(nx, ny)
+    if ty is All:
+        b = r.body
+        nb = close_type(b, name, depth + 1)
+        return r if nb is b else All(r.hint, nb)
+    if ty is Conv:
+        x = r.rel
+        nx = close_type(x, name, depth)
+        return r if nx is x else Conv(nx)
+    if ty is TVar:
+        return TBound(depth) if r.name == name else r
+    if ty is TBound or ty is Promote:  # terms contain no type variables
+        return r
     raise TypeError(f"not a type: {r!r}")
 
 
 def open_type(body: RelType, repl: RelType, depth: int = 0) -> RelType:
-    match body:
-        case TVar(_):
-            return body
-        case TBound(i):
-            return repl if i == depth else body
-        case Arrow(d, c):
-            return Arrow(open_type(d, repl, depth), open_type(c, repl, depth))
-        case All(h, b):
-            return All(h, open_type(b, repl, depth + 1))
-        case Conv(x):
-            return Conv(open_type(x, repl, depth))
-        case Comp(l, rr):
-            return Comp(open_type(l, repl, depth), open_type(rr, repl, depth))
-        case Promote(_):
-            return body
+    """Instantiate the outermost binder's index in `body` with `repl`."""
+    ty = type(body)
+    if ty is Arrow or ty is Comp:
+        x, y = (body.dom, body.cod) if ty is Arrow else (body.left, body.right)
+        nx = open_type(x, repl, depth)
+        ny = open_type(y, repl, depth)
+        return body if nx is x and ny is y else ty(nx, ny)
+    if ty is All:
+        b = body.body
+        nb = open_type(b, repl, depth + 1)
+        return body if nb is b else All(body.hint, nb)
+    if ty is Conv:
+        x = body.rel
+        nx = open_type(x, repl, depth)
+        return body if nx is x else Conv(nx)
+    if ty is TBound:
+        return repl if body.index == depth else body
+    if ty is TVar or ty is Promote:
+        return body
     raise TypeError(f"not a type: {body!r}")
 
 

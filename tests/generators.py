@@ -12,6 +12,7 @@ import random
 from hypothesis import strategies as st
 
 from reltt.syntax import (
+    All,
     App,
     Arrow,
     Bound,
@@ -20,6 +21,7 @@ from reltt.syntax import (
     Lam,
     Promote,
     RelType,
+    TBound,
     Term,
     TVar,
     Var,
@@ -154,3 +156,68 @@ def random_redex_term(rng: random.Random, size: int, depth: int = 0) -> Term:
     else:
         fn = random_redex_term(rng, cut, depth)
     return App(fn, random_redex_term(rng, size - cut, depth))
+
+
+TYPE_HINTS = ("X", "Y", "X1", "")
+
+
+def _scoped_index(rng: random.Random, depth: int) -> int:
+    """Mostly an index bound by one of `depth` binders; otherwise one that dangles."""
+    if depth and rng.random() < 0.8:
+        return rng.randrange(depth)
+    return depth + rng.randrange(2)
+
+
+def random_scoped_term(rng: random.Random, size: int, depth: int = 0, pool: list | None = None) -> Term:
+    """Random term on de Bruijn indices that need not be locally closed.
+
+    Some indices point one or two levels past the enclosing binders, so they
+    dangle out of the whole term. Hints clash with free names or are empty.
+    With a `pool`, about one subterm in ten is an object built earlier, so one
+    node can sit under different numbers of binders.
+    """
+    if pool and rng.random() < 0.1:
+        return rng.choice(pool)
+    if size <= 1 or rng.random() < 0.15:
+        if rng.random() < 0.6:
+            t = Bound(_scoped_index(rng, depth))
+        else:
+            t = Var(rng.choice(TERM_NAMES))
+    elif rng.random() < 0.45:
+        t = Lam(rng.choice(HINTS), random_scoped_term(rng, size - 1, depth + 1, pool))
+    else:
+        cut = rng.randint(1, size - 1)
+        fn = random_scoped_term(rng, cut, depth, pool)
+        t = App(fn, random_scoped_term(rng, size - cut, depth, pool))
+    if pool is not None:
+        pool.append(t)
+    return t
+
+
+def random_scoped_type(
+    rng: random.Random, size: int, depth: int = 0, pool: list | None = None
+) -> RelType:
+    """The type counterpart of `random_scoped_term`, with scoped terms under promotions."""
+    if pool and rng.random() < 0.1:
+        return rng.choice(pool)
+    if size <= 1 or rng.random() < 0.15:
+        if rng.random() < 0.6:
+            r = TBound(_scoped_index(rng, depth))
+        else:
+            r = TVar(rng.choice(TYPE_NAMES))
+    else:
+        kind = rng.choice(("arrow", "all", "all", "conv", "comp", "promote"))
+        if kind == "all":
+            r = All(rng.choice(TYPE_HINTS), random_scoped_type(rng, size - 1, depth + 1, pool))
+        elif kind == "conv":
+            r = Conv(random_scoped_type(rng, size - 1, depth, pool))
+        elif kind == "promote":
+            r = Promote(random_scoped_term(rng, size - 1, rng.randrange(3)))
+        else:
+            cut = rng.randint(1, size - 1)
+            x = random_scoped_type(rng, cut, depth, pool)
+            y = random_scoped_type(rng, size - cut, depth, pool)
+            r = Arrow(x, y) if kind == "arrow" else Comp(x, y)
+    if pool is not None:
+        pool.append(r)
+    return r

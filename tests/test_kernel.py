@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from proof_tools import map_free_terms
+import reference_kernel
+from proof_tools import map_free_terms, rename_binders
+from reltt import script
 from reltt.kernel import (
     ARGUMENT_MISMATCH,
     DECLARATION_MISMATCH,
@@ -29,6 +33,8 @@ from reltt.kernel import (
     to_relpf,
 )
 from reltt.prelude import bool_discrimination
+from reltt.script import prelude_env, run_script
+from reltt.surface import parse
 from reltt.syntax import (
     App,
     Arrow,
@@ -44,6 +50,8 @@ from reltt.syntax import (
     subst_term_multi,
     subst_terms_in_type,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 R = TVar("R")
 S = TVar("S")
@@ -240,3 +248,86 @@ def test_rho_rejects_unrelated_premises():
     with pytest.raises(KernelError) as e:
         check(ctx, proof)
     assert e.value.kind == "rho-premise-mismatch"
+
+
+# Freshness side conditions whose offending name enters the name sets at a
+# different point of the derivation: the root context, an enclosing binder's
+# new entry, or the scrutinee of a composition eliminator.
+RS = Comp(R, S)
+MID_IN_SCRUTINEE = PPair(  # m [{f} * {g}] g (f m), from an empty context
+    PIota(Var("m"), Var("f")), PIota(App(Var("f"), Var("m")), Var("g")), App(Var("f"), Var("m"))
+)
+FRESHNESS_CASES = {
+    "subject-free-in-outer-term": ((entry("u", "x", R, "y"),), PLam("v", "x", R, "z", PVar("v"))),
+    "subject-free-in-outer-promotion": (
+        (ContextEntry("u", Var("a"), Promote(Var("x")), Var("b")),),
+        PLam("v", "x", R, "z", PVar("v")),
+    ),
+    "nested-fun-rebinds-outer-subject": ((), PLam("u", "x", R, "y", PLam("v", "x", S, "z", PVar("v")))),
+    "fun-in-pi-body-binds-mid": (
+        (entry("w", "a", RS, "c"),),
+        PPi(PVar("w"), "m", "p", "q", PLam("v", "m", R, "z", PVar("v"))),
+    ),
+    "fun-in-pi-body-binds-scrutinee-name": (
+        (),
+        PPi(MID_IN_SCRUTINEE, "n", "p", "q", PLam("v", "f", R, "z", PVar("v"))),
+    ),
+    "type-binder-in-enclosing-annotation": ((), PLam("u", "x", TVar("X"), "y", PTyLam("X", PVar("u")))),
+    "type-binder-in-pi-body-from-scrutinee": (
+        (entry("w", "a", all_("Y", Comp(TVar("Y"), S)), "c"),),
+        PPi(PTyApp(PVar("w"), TVar("X")), "m", "p", "q", PTyLam("X", PVar("w"))),
+    ),
+    "mid-escapes-through-context": (
+        (entry("w", "a", RS, "c"), ContextEntry("e", Var("k"), Promote(Var("m")), Var("k"))),
+        PPi(PVar("w"), "m", "p", "q", PVar("w")),
+    ),
+    "mid-escapes-through-body": ((entry("w", "a", RS, "c"),), PPi(PVar("w"), "m", "p", "q", PVar("p"))),
+    "mid-escapes-through-scrutinee": (
+        (),
+        PPi(MID_IN_SCRUTINEE, "m", "p", "q", PIota(Var("a"), Var("b"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRESHNESS_CASES))
+def test_freshness_side_conditions_see_every_binder(case):
+    ctx, proof = FRESHNESS_CASES[case]
+    with pytest.raises(KernelError) as e:
+        check(ctx, proof)
+    assert e.value.kind == FRESHNESS_VIOLATION
+
+
+def _derivation(derive, ctx, proof, fuel):
+    try:
+        return derive(ctx, proof, fuel)
+    except KernelError as e:
+        return (e.kind, e.message, e.location)
+
+
+def test_kernel_matches_the_kernel_that_recollects_free_names(monkeypatch):
+    # Differential check against tests/reference_kernel.py on every proof of
+    # the corpus (negative files included) and of the packaged library, and
+    # on their alpha-variants with every binder renamed.
+    env = prelude_env()
+    inputs = [(e.ctx, e.proof, e.fuel) for e in env.proofs.values()]
+
+    def record(ctx, proof, declared, fuel):
+        inputs.append((ctx, proof, fuel))
+        raise KernelError("recorded", "")
+
+    monkeypatch.setattr(script, "check_declared", record)
+    negatives = sorted((CORPUS / "negative").glob("*.rtt"))
+    for path in sorted(CORPUS.glob("*.rtt")) + negatives:
+        run_script(parse(path.read_text(encoding="utf-8")), env=env)
+    assert len(inputs) == 17 + 29 + len(negatives)
+    rejected = 0
+    for ctx, proof, fuel in inputs:
+        got = _derivation(to_relpf, ctx, proof, fuel)
+        assert got == _derivation(reference_kernel.to_relpf, ctx, proof, fuel)
+        rejected += isinstance(got, tuple)
+        renamed = rename_binders(proof, "_rn")
+        got = _derivation(to_relpf, ctx, renamed, fuel)
+        assert got == _derivation(reference_kernel.to_relpf, ctx, renamed, fuel)
+    # Every negative file fails in the kernel, except declaration-mismatch,
+    # whose proof derives and only differs from its declared judgment.
+    assert rejected == len(negatives) - 1

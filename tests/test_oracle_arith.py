@@ -8,9 +8,19 @@ that shares nothing with the one under test.
 
 import sys
 
+import pytest
+
 import oracle_lambda as o
 
-sys.setrecursionlimit(100000)
+
+@pytest.fixture(autouse=True, scope="module")
+def deep_recursion():
+    # The oracle evaluator is plain recursion over nested tuples. The limit is
+    # raised for this module only, so tests collected later see the stock one.
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(100000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 def test_fixed_add_two_plus_two_is_four():

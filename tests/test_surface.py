@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from generators import term_strategy, type_strategy
+import reference_render
+from generators import random_scoped_term, random_scoped_type, term_strategy, type_strategy
 from reltt.kernel import (
     PConv,
     PConvE,
@@ -156,6 +158,22 @@ def test_renderer_freshens_shadowed_display_hints():
     r = All("X", All("X", Arrow(TBound(1), TBound(0))))
     rendered_type = render_type(r)
     assert parse_type(rendered_type) == r
+
+
+def test_renderer_matches_the_opening_renderer():
+    # Differential sweep against the renderer that opened every binder
+    # (tests/reference_render.py): dangling indices, empty hints, hints that
+    # clash with free names, and subterms shared under different binders.
+    rng = random.Random(606)
+    dangling = 0
+    for _ in range(5000):
+        t = random_scoped_term(rng, rng.randint(1, 30), 0, [])
+        r = random_scoped_type(rng, rng.randint(1, 30), 0, [])
+        rendered = render_term(t)
+        assert rendered == reference_render.render_term(t), t
+        assert render_type(r) == reference_render.render_type(r), r
+        dangling += "?" in rendered
+    assert 500 < dangling < 4500
 
 
 def test_parse_error_spans_lie_within_the_source():
