@@ -10,13 +10,19 @@ is only ever reported for terms that genuinely reached distinct normal forms.
 A step works on the de Bruijn indices directly, also under binders. Beta
 turns `App(Lam(h, body), arg)` into `subst_bound(body, 0, arg)`; eta turns
 `Lam(h, App(f, Bound(0)))`, with index 0 absent from f, into `shift_term(f,
--1)`; any other lambda is stepped inside and rebuilt with its hint unchanged.
-No fresh names are made and no binder is opened and closed again. So a step
-costs a walk down the path to the redex (with an occurrence check under each
-eta-shaped lambda on it) plus the size of the redex: its body, one scan of
-its argument, and, only if the argument has indices bound further out, one
-shifted copy of it per occurrence. Each step still starts again at the
-root.
+-1)`; any other lambda is searched inside and rebuilt with its hint
+unchanged. No fresh names are made and no binder is opened and closed again.
+
+`normalize` is one iterative search that keeps the path from the root to its
+focus and contracts in place. It never restarts at the root: after a
+contraction it resumes at the contractum, or at the outermost ancestor the
+contraction turned into a redex (four cases, see `_resumed`). With the
+loose-index range every term caches (see `syntax`), a contraction visits
+only the subterms whose indices it changes. So a step costs the redex and
+the part of the term the search moves past, not the whole term. The search
+needs no Python stack however deep the term is; only the index primitives
+recurse, into the subterms a contraction changes. `step` is a one-step view
+of the same engine, so the strategy is written once.
 
 Conversion never guesses. If fuel runs out before both sides normalize, the
 result is "undecided", and callers treat that as failure, not equality.
@@ -47,46 +53,140 @@ class NormalizeResult:
 
 
 def step(t: Term) -> Term | None:
-    """One leftmost-outermost beta-eta step, or None if t is normal.
+    """One leftmost-outermost beta-eta step, or None if t is normal."""
+    r = normalize(t, 1)
+    return r.term if r.steps_used else None
 
-    Steps under binders without opening them, so the subterms it recurses
-    into may carry indices bound further out.
-    """
-    ty = type(t)  # not `match`, for speed; see the index primitives in `syntax`
-    if ty is App:
-        fn, arg = t.fn, t.arg
-        if type(fn) is Lam:
-            return subst_bound(fn.body, 0, arg)
-        s = step(fn)
-        if s is not None:
-            return App(s, arg)
-        s = step(arg)
-        if s is not None:
-            return App(fn, s)
-        return None
-    if ty is Lam:
-        body = t.body
-        if type(body) is App and body.arg == Bound(0) and not bound_occurs(body.fn, 0):
-            return shift_term(body.fn, -1)
-        inner = step(body)
-        return None if inner is None else Lam(t.hint, inner)
-    if ty is Var or ty is Bound:
-        return None
-    raise TypeError(f"not a term: {t!r}")
+
+# A frame of the path from the root to the focus: (kind, node, left). The
+# focus stands for `node.fn` (_FN), `node.arg` (_ARG) or `node.body` (_BODY);
+# `left` is the function part as it is now, for _ARG frames only, since a
+# finished function may have been contracted after `node` was built.
+_FN, _ARG, _BODY = "fn", "arg", "body"
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
-    """Reduce to normal form, spending at most `fuel` steps."""
+    """Reduce to normal form, spending at most `fuel` steps.
+
+    One leftmost-outermost search walks the term, keeping the path from the
+    root to its focus. Everything the search has passed is free of redexes,
+    so after a contraction it goes on from the contractum, unless the
+    contraction made an ancestor a redex (see `_resumed`); then it rebuilds
+    the path up to that ancestor and contracts it next.
+    """
+    path: list[tuple] = []
+    # Positions of the _FN frames that enter `f` in a `Lam(_, App(f, Bound(0)))`,
+    # an eta shape that is no redex because index 0 occurs in `f`.
+    blocked: list[int] = []
+    focus = t
     used = 0
-    while used < fuel:
-        nxt = step(t)
-        if nxt is None:
-            return NormalizeResult(t, NORMAL, used)
-        t = nxt
+    while True:
+        ty = type(focus)
+        if ty is App:
+            if type(focus.fn) is not Lam:
+                if path and path[-1][0] is _BODY and _is_index0(focus.arg):
+                    blocked.append(len(path))
+                path.append((_FN, focus, None))
+                focus = focus.fn
+                continue
+        elif ty is Lam:
+            if not _is_eta_body(focus.body):
+                path.append((_BODY, focus, None))
+                focus = focus.body
+                continue
+        else:  # a name or an index: on to the next argument not yet searched
+            if ty is not Var and ty is not Bound:
+                raise TypeError(f"not a term: {focus!r}")
+            while path:
+                kind, node, left = path.pop()
+                if kind is _FN:
+                    if blocked and blocked[-1] == len(path):
+                        blocked.pop()
+                    path.append((_ARG, node, focus))
+                    focus = node.arg
+                    break
+                focus = _rebuild(kind, node, left, focus)
+            else:
+                return NormalizeResult(focus, NORMAL, used)
+            continue
+        if used >= fuel:
+            return NormalizeResult(_plug(path, blocked, focus, 0), FUEL_EXHAUSTED, used)
+        if ty is App:
+            focus = subst_bound(focus.fn.body, 0, focus.arg)
+        else:
+            focus = shift_term(focus.body.fn, -1)
         used += 1
-    if step(t) is None:
-        return NormalizeResult(t, NORMAL, used)
-    return NormalizeResult(t, FUEL_EXHAUSTED, used)
+        if path:
+            k = _resumed(path, blocked, focus)
+            if k >= 0:
+                focus = _plug(path, blocked, focus, k)
+
+
+def _is_index0(t: Term) -> bool:
+    return type(t) is Bound and t.index == 0
+
+
+def _is_eta_body(body: Term) -> bool:
+    """Whether `Lam(_, body)` is an eta redex: `body` is `App(f, Bound(0))` with 0 absent from f."""
+    return type(body) is App and _is_index0(body.arg) and not bound_occurs(body.fn, 0)
+
+
+def _rebuild(kind: str, node: Term, left: Term | None, focus: Term) -> Term:
+    """The frame's node with `focus` in place; `node` itself if nothing changed."""
+    if kind is _FN:
+        return node if focus is node.fn else App(focus, node.arg)
+    if kind is _ARG:
+        return node if left is node.fn and focus is node.arg else App(left, focus)
+    return node if focus is node.body else Lam(node.hint, focus)
+
+
+def _plug(path: list[tuple], blocked: list[int], focus: Term, k: int) -> Term:
+    """Pop the frames from the focus up to position `k`, and rebuild their nodes."""
+    while len(path) > k:
+        focus = _rebuild(*path.pop(), focus)
+    while blocked and blocked[-1] >= k:
+        blocked.pop()
+    return focus
+
+
+def _resumed(path: list[tuple], blocked: list[int], c: Term) -> int:
+    """The position of the outermost frame that a contraction to `c` made a redex, or -1.
+
+    Each frame's node was no redex when the search passed it, and only the
+    contracted subterm changed, so only four kinds of node can have become
+    one: a `Lam` whose body is `App(f, Bound(0))` with `c` inside `f`, once
+    the last occurrence of index 0 in `f` is gone (occurrences only ever
+    disappear); a `Lam` whose body's argument `c` became `Bound(0)`; and the
+    direct parent, an `App` whose function `c` became a `Lam`, or a `Lam`
+    whose body `c` is now eta-shaped.
+    """
+    for i in blocked:
+        if not _occurs_in_fn(path, i, c):
+            return i - 1
+    top = len(path) - 1
+    kind, _, left = path[top]
+    if kind is _FN:
+        return top if type(c) is Lam else -1
+    if kind is _BODY:
+        return top if _is_eta_body(c) else -1
+    if top and path[top - 1][0] is _BODY and _is_index0(c) and not bound_occurs(left, 0):
+        return top - 1
+    return -1
+
+
+def _occurs_in_fn(path: list[tuple], i: int, c: Term) -> bool:
+    """Whether index 0 of the `Lam` above the _FN frame at `i` still occurs in its `f`.
+
+    `f` is the frames below `i` with `c` at the focus; the siblings along
+    that path are checked, then `c`, each at its binder depth.
+    """
+    depth = 0
+    for kind, node, left in path[i + 1 :]:
+        if kind is _BODY:
+            depth += 1
+        elif bound_occurs(node.arg if kind is _FN else left, depth):
+            return True
+    return bound_occurs(c, depth)
 
 
 def conv_check(t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> str:

@@ -18,6 +18,15 @@ indices, and all of these reuse the subterms they leave unchanged. System F
 types are relational types too (see `systemf.is_f_type`), so they share these
 binder operations rather than keeping their own.
 
+Every term caches its loose-index range in `loose`: one more than the largest
+index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
+`index + 1` for `Bound`, `max(body.loose - 1, 0)` for `Lam`, and the larger of
+the two children's for `App`, and `t` is locally closed under `d` binders
+exactly when `t.loose <= d`. `shift_term`, `subst_bound` and `bound_occurs`
+return at once on a subterm that no index they act on reaches, so a reduction
+step costs only the part of the term it can change. `loose` is not a field of
+`==`, `hash`, `repr` or pattern matching.
+
 Term variables and type variables live in separate namespaces. Types contain
 terms (inside `Promote`), terms never contain types, and no term binder scopes
 across a type, so the two index spaces never interact.
@@ -37,26 +46,53 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# `loose` (see the module docstring) is set once, in the constructor, from the
+# children's cached values, so reading it never recurses. Slots keep each
+# node small, the extra field included.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
+    loose = 0  # a class attribute: no index dangles out of a name
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Bound(Term):
     index: int
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
+        _set(self, "loose", index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     hint: str = field(compare=False)
     body: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, hint: str, body: Term) -> None:
+        _set(self, "hint", hint)
+        _set(self, "body", body)
+        n = body.loose
+        _set(self, "loose", n - 1 if n else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        a, b = fn.loose, arg.loose
+        _set(self, "loose", a if a > b else b)
 
 
 def lam(name: str, body: Term) -> Lam:
@@ -116,6 +152,8 @@ def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
 
 def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every index at or above `cutoff`; unchanged subterms are reused."""
+    if t.loose <= cutoff:
+        return t
     ty = type(t)
     if ty is App:
         f, a = t.fn, t.arg
@@ -123,13 +161,9 @@ def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
         na = shift_term(a, by, cutoff)
         return t if nf is f and na is a else App(nf, na)
     if ty is Lam:
-        b = t.body
-        nb = shift_term(b, by, cutoff + 1)
-        return t if nb is b else Lam(t.hint, nb)
+        return Lam(t.hint, shift_term(t.body, by, cutoff + 1))
     if ty is Bound:
-        return Bound(t.index + by) if t.index >= cutoff else t
-    if ty is Var:
-        return t
+        return Bound(t.index + by)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -140,11 +174,13 @@ def subst_bound(body: Term, index: int, arg: Term) -> Term:
     it is shifted up by `index`; the indices above `index` lose the binder
     and drop by one. `subst_bound(body, 0, arg)` is the contractum of
     `App(Lam(_, body), arg)`, with no fresh name and no open/close. A locally
-    closed `arg` is never shifted, and unchanged subterms are reused.
+    closed `arg` is never shifted, and subterms that no index at or above
+    the substituted one reaches are reused without a visit.
     """
-    closed = locally_closed_term(arg)
 
     def go(t: Term, j: int) -> Term:
+        if t.loose <= j:
+            return t
         ty = type(t)
         if ty is App:
             f, a = t.fn, t.arg
@@ -152,16 +188,12 @@ def subst_bound(body: Term, index: int, arg: Term) -> Term:
             na = go(a, j)
             return t if nf is f and na is a else App(nf, na)
         if ty is Lam:
-            b = t.body
-            nb = go(b, j + 1)
-            return t if nb is b else Lam(t.hint, nb)
+            return Lam(t.hint, go(t.body, j + 1))
         if ty is Bound:
             i = t.index
             if i != j:
-                return Bound(i - 1) if i > j else t
-            return arg if closed else shift_term(arg, j)
-        if ty is Var:
-            return t
+                return Bound(i - 1)
+            return shift_term(arg, j) if j else arg
         raise TypeError(f"not a term: {t!r}")
 
     return go(body, index)
@@ -169,6 +201,8 @@ def subst_bound(body: Term, index: int, arg: Term) -> Term:
 
 def bound_occurs(t: Term, index: int) -> bool:
     """Whether the index `index` (counted from outside `t`) occurs in `t`."""
+    if t.loose <= index:
+        return False
     ty = type(t)
     if ty is App:
         return bound_occurs(t.fn, index) or bound_occurs(t.arg, index)
@@ -176,8 +210,6 @@ def bound_occurs(t: Term, index: int) -> bool:
         return bound_occurs(t.body, index + 1)
     if ty is Bound:
         return t.index == index
-    if ty is Var:
-        return False
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -212,16 +244,8 @@ def term_size(t: Term) -> int:
 
 
 def locally_closed_term(t: Term, depth: int = 0) -> bool:
-    ty = type(t)  # not `match`: `subst_bound` runs this on every beta argument
-    if ty is App:
-        return locally_closed_term(t.fn, depth) and locally_closed_term(t.arg, depth)
-    if ty is Lam:
-        return locally_closed_term(t.body, depth + 1)
-    if ty is Bound:
-        return t.index < depth
-    if ty is Var:
-        return True
-    raise TypeError(f"not a term: {t!r}")
+    """Whether every index in `t` is bound by `t` or by `depth` binders around it."""
+    return t.loose <= depth
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 
 import oracle_lambda as oracle
+import reference_debruijn as restarting
 import reference_reduction as reference
 from generators import affine_terms, random_redex_term, term_strategy
 from reltt.reduction import (
@@ -149,6 +151,13 @@ def _named(t: Term, scope: tuple[str, ...] = ()):
             return oracle.A(_named(f, scope), _named(a, scope))
 
 
+def _assert_same_result(got, want, case) -> None:
+    assert got.status == want.status, case
+    assert got.steps_used == want.steps_used, case
+    assert got.term == want.term, case
+    assert render_term(got.term) == render_term(want.term), case
+
+
 def test_differential_against_the_open_close_engine_and_the_oracle():
     rng = random.Random(20211)
     stuck = 0
@@ -157,11 +166,8 @@ def test_differential_against_the_open_close_engine_and_the_oracle():
         # Half the budgets are small, so fuel often runs out mid-normalization.
         fuel = rng.randint(0, 60 if rng.random() < 0.5 else 8)
         got = normalize(t, fuel)
-        want = reference.normalize(t, fuel)
-        assert got.status == want.status, (t, fuel)
-        assert got.steps_used == want.steps_used, (t, fuel)
-        assert got.term == want.term, (t, fuel)
-        assert render_term(got.term) == render_term(want.term), (t, fuel)
+        _assert_same_result(got, reference.normalize(t, fuel), (t, fuel))
+        _assert_same_result(got, restarting.normalize(t, fuel), (t, fuel))
         nf, used, finished = oracle.normalize(_named(t), fuel)
         assert finished == (got.status == NORMAL), (t, fuel)
         if finished:
@@ -178,3 +184,70 @@ def test_add_four_four_step_count_is_pinned():
     r = normalize(app(add, numeral(4), numeral(4)))
     assert r.status == NORMAL and r.steps_used == 385
     assert conv_check(app(add, numeral(4), numeral(4)), numeral(8)) == EQUAL
+
+
+def test_differential_against_the_restarting_engine_on_larger_terms():
+    rng = random.Random(40721)
+    stuck = 0
+    for _ in range(5000):
+        t = random_redex_term(rng, rng.randint(1, 40))
+        fuel = rng.randint(0, 60 if rng.random() < 0.5 else 8)
+        got = normalize(t, fuel)
+        _assert_same_result(got, restarting.normalize(t, fuel), (t, fuel))
+        stuck += got.status == FUEL_EXHAUSTED
+    assert 400 < stuck < 2500
+
+
+F = Var("f")
+# After a contraction, the search goes on from the contractum unless one of
+# four kinds of ancestor has become a redex. One term per kind, each taking
+# the resumed step second.
+RESUMED_REDEXES = {
+    # (\x. \y. x) a b: the first beta leaves \y. a in function position.
+    "beta at the parent": (app(lam("x", lam("y", Var("x"))), Var("a"), Var("b")), 2, Var("a")),
+    # \x. (\y. y) (f x): the body becomes f x.
+    "eta via the body": (lam("x", App(I, App(F, Var("x")))), 2, F),
+    # \x. f ((\y. y) x): the argument becomes x.
+    "eta via the argument": (lam("x", App(F, App(I, Var("x")))), 2, F),
+    # \x. (\y. f) x x: the beta erases the other occurrence of x.
+    "eta via an erased occurrence": (lam("x", app(lam("y", F), Var("x"), Var("x"))), 2, F),
+}
+
+
+@pytest.mark.parametrize("case", RESUMED_REDEXES)
+def test_contraction_resumes_at_the_ancestor_it_made_a_redex(case):
+    t, steps, nf = RESUMED_REDEXES[case]
+    got = normalize(t)
+    assert got == restarting.normalize(t)
+    assert (got.status, got.steps_used, got.term) == (NORMAL, steps, nf)
+    assert step(t) == restarting.step(t) and step(step(t)) == nf
+
+
+@pytest.mark.parametrize("n, steps", [(8, 709), (16, 1357)])
+def test_add_step_counts_are_pinned(n, steps):
+    add = stdlib()["add"].term
+    r = normalize(app(add, numeral(n), numeral(n)))
+    assert r.status == NORMAL and r.steps_used == steps
+    assert conv_check(app(add, numeral(n), numeral(n)), numeral(2 * n)) == EQUAL
+
+
+def test_deep_terms_normalize_at_the_stock_recursion_limit(default_recursion_limit):
+    spine = Var("x")
+    for i in range(3000):
+        spine = App(spine, Var(f"a{i % 7}"))
+    nested = App(Bound(0), Bound(2999))
+    for _ in range(3000):
+        nested = Lam("x", nested)
+    for t in (spine, nested):
+        r = normalize(t)
+        assert (r.status, r.steps_used) == (NORMAL, 0) and r.term is t
+    right = App(I, Var("y"))
+    for _ in range(3000):
+        right = App(Var("g"), right)
+    r = normalize(right)
+    assert (r.status, r.steps_used) == (NORMAL, 1)
+    t = r.term
+    for _ in range(3000):
+        assert t.fn == Var("g")
+        t = t.arg
+    assert t == Var("y")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -282,15 +281,6 @@ def test_cli_negative_fuel_is_a_usage_error(tmp_path, capsys, command):
     assert "non-negative" in capsys.readouterr().err
     assert main([command, target, "--no-prelude", "--fuel", "0"]) == EXIT_OK
     capsys.readouterr()
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """The interpreter's stock limit, as a fresh `reltt` process has it."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(saved)
 
 
 def test_cli_internal_error_is_one_line_and_exit_3(tmp_path, capsys, default_recursion_limit):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given
 
-from generators import term_strategy, type_strategy
+from generators import random_scoped_term, term_strategy, type_strategy
 from reltt.syntax import (
     App,
     Arrow,
+    Bound,
     Comp,
     Conv,
     Judgment,
+    Lam,
     Promote,
     TVar,
     Var,
@@ -170,3 +174,49 @@ def test_subst_tvars_is_simultaneous():
 @given(type_strategy(), type_strategy())
 def test_subst_tvar_is_the_one_variable_subst_tvars(r, s):
     assert subst_tvar(s, "X", r) == subst_tvars({"X": s}, r)
+
+
+def _naive_loose(t) -> int:
+    match t:
+        case Var(_):
+            return 0
+        case Bound(i):
+            return i + 1
+        case Lam(_, b):
+            return max(_naive_loose(b) - 1, 0)
+        case App(f, a):
+            return max(_naive_loose(f), _naive_loose(a))
+
+
+def _naive_locally_closed(t, depth: int) -> bool:
+    match t:
+        case Var(_):
+            return True
+        case Bound(i):
+            return i < depth
+        case Lam(_, b):
+            return _naive_locally_closed(b, depth + 1)
+        case App(f, a):
+            return _naive_locally_closed(f, depth) and _naive_locally_closed(a, depth)
+
+
+def test_cached_loose_range_matches_a_naive_recomputation():
+    rng = random.Random(7331)
+    for _ in range(5000):
+        pool: list = []
+        t = random_scoped_term(rng, rng.randint(1, 30), rng.randrange(3), pool)
+        for u in pool:  # every node built, shared ones included
+            assert u.loose == _naive_loose(u), u
+        for depth in range(4):
+            assert locally_closed_term(t, depth) == _naive_locally_closed(t, depth), (t, depth)
+
+
+def test_cached_loose_range_is_not_part_of_equality_or_repr():
+    body = App(Bound(0), Lam("z", App(Bound(2), Var("y"))))
+    assert body.loose == 2 and Lam("x", body).loose == 1
+    assert Lam("x", body) == Lam("y", body)
+    assert hash(Lam("x", body)) == hash(Lam("y", body))
+    assert repr(Lam("x", Bound(0))) == "Lam(hint='x', body=Bound(index=0))"
+    assert repr(App(Var("f"), Bound(3))) == "App(fn=Var(name='f'), arg=Bound(index=3))"
+    assert (Var.__match_args__, Bound.__match_args__) == (("name",), ("index",))
+    assert (Lam.__match_args__, App.__match_args__) == (("hint", "body"), ("fn", "arg"))
