@@ -13,7 +13,9 @@ term referring to one is reported as an unbound proof variable.
 Each failing statement yields exactly one error diagnostic and processing
 continues with the following statements, so one broken proof does not hide
 diagnostics for independent ones. Exit status is success exactly when no
-error diagnostics were produced.
+error diagnostics were produced. The `proof NAME: ...` echo of a checked
+proof is rendered the first time its message is read, so a caller that
+never reads it, such as the packaged library's loader, never renders it.
 
 Dumps are line-delimited JSON with sorted keys, UTF-8, rendered through the
 surface syntax so terms and types round-trip through the parser. The System F
@@ -95,6 +97,25 @@ class Diagnostic:
     span: tuple[int, int]
     kind: str
     message: str
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the message of an
+        # echo (see `_echo`) is rendered the first time it is read.
+        render = self.__dict__.get("_render")
+        if name != "message" or render is None:
+            raise AttributeError(name)
+        message = render()
+        object.__setattr__(self, "message", message)
+        return message
+
+
+def _echo(span: tuple[int, int], name: str, judgment: Judgment) -> Diagnostic:
+    """The `proof NAME: ...` note for a checked proof, rendered only if it is read."""
+    d = object.__new__(Diagnostic)
+    for attr, value in (("severity", "info"), ("span", span), ("kind", "note")):
+        object.__setattr__(d, attr, value)
+    object.__setattr__(d, "_render", lambda: f"proof {name}: {render_judgment(judgment)}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -290,7 +311,7 @@ def run_script(
                 record = CheckedProof(name, ctx2, judgment, proof2, file_fuel)
                 env.proofs[name] = record
                 checked.append(record)
-                info(span, f"proof {name}: {render_judgment(judgment)}")
+                diags.append(_echo(span, name, judgment))
                 if trace:
                     tree = to_relpf(ctx2, proof2, file_fuel)
                     info(span, "\n".join(_relpf_lines(tree)))
@@ -320,7 +341,7 @@ def run_script(
                 if name not in env.proofs:
                     error(span, "unknown-name", f"no proof named '{name}'")
                 else:
-                    info(span, f"proof {name}: {render_judgment(env.proofs[name].judgment)}")
+                    diags.append(_echo(span, name, env.proofs[name].judgment))
             case Command("dump", what, span):
                 payload = dump(checked, what)
                 for line in payload.decode("utf-8").splitlines():

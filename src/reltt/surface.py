@@ -18,13 +18,28 @@ Identifiers may carry trailing primes (`x'`). Names ending in the reserved
 dotted suffix are rejected in user source; the loader for generated library
 files parses with `allow_dotted=True`.
 
+The lexer is one regular-expression pass that yields `Token` tuples; a
+NUMBER is a run of decimal digits, exactly what `int` accepts. The parser
+reads each token about once, through an index into the EOF-terminated token
+list. It resolves term binders while it parses: a scope maps each name to
+its binder, so an identifier in scope becomes its `Bound` index at once and
+every `Lam` is built once, never closed afterwards. Every term entered from
+a type, proof or statement starts with an empty scope. Type binders
+(`all X.`, `rec X.`, and the binders that sugar expansion adds) are closed
+with `syntax.all_` and `prelude.expand`. `t .. R` and `t <| p |> t'` begin
+with a term; the parser tries one only where the first token ahead that a
+term cannot contain is `..` or `<|`, so it never parses a term that it then
+throws away.
+
 Renderers produce text that parses back to an alpha-equal tree; statement
 and proof nodes carry source spans as (start, end) offsets for diagnostics.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kernel import (
     PApp,
@@ -73,7 +88,6 @@ from .syntax import (
     Var,
     all_,
     fresh,
-    lam,
 )
 from .systemf import is_dotted
 
@@ -195,84 +209,72 @@ _UNICODE_ONE = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     start: int
     end: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+# Every fixed spelling, as (kind, value). The scanner tries them longest
+# first, so `..` wins over `.`, `->` over `-`, and `⋅⋅` over `⋅`.
+_FIXED = {
+    **{text: (kind, text) for text, kind in _TWO_CHAR.items()},
+    "⋅⋅": ("DOTDOT", "⋅⋅"),
+    "∀": ("KW", "all"),
+    "⋅": ("STAR", "⋅"),
+    **{text: (kind, text) for text, kind in _UNICODE_ONE.items()},
+    **{text: (kind, text) for text, kind in _ONE_CHAR.items()},
+}
 
+# The character classes match the `str` predicates the grammar is stated in:
+# `\s` is `isspace`, `\d` is `isdecimal` (exactly what `int` accepts) and `\w`
+# is `isalnum` or `_`. `_IDENT_START` is `\w` without the decimal digits, so it
+# also admits the numeric characters that are not letters, such as `²`;
+# `tokenize` rejects an identifier that starts with one, which leaves exactly
+# `isalpha` or `_`.
+_SPACE, _DIGIT, _IDENT_START, _IDENT_CHAR = r"\s", r"\d", r"[^\W\d]", r"\w"
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+# One alternative per token class, tried in this order.
+_TOKEN_RE = re.compile(
+    f"(?P<SKIP>{_SPACE}+|--[^\\n]*)"
+    f"|(?P<FIXED>{'|'.join(map(re.escape, sorted(_FIXED, key=len, reverse=True)))})"
+    f"|(?P<NUMBER>{_DIGIT}+)"
+    f"|(?P<IDENT>{_IDENT_START}{_IDENT_CHAR}*'*)"
+    "|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+# Builds a `Token` from a tuple without the Python-level `__new__` of a NamedTuple.
+_new_token = tuple.__new__
 
 
 def tokenize(source: str, allow_dotted: bool = False) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        two = source[i : i + 2]
-        if two == "--":
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if two == "⋅⋅":
-            tokens.append(Token("DOTDOT", two, i, i + 2))
-            i += 2
-            continue
-        if two in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[two], two, i, i + 2))
-            i += 2
-            continue
-        if c == "∀":
-            tokens.append(Token("KW", "all", i, i + 1))
-            i += 1
-            continue
-        if c == "⋅":
-            tokens.append(Token("STAR", c, i, i + 1))
-            i += 1
-            continue
-        if c in _UNICODE_ONE:
-            tokens.append(Token(_UNICODE_ONE[c], c, i, i + 1))
-            i += 1
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[c], c, i, i + 1))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", source[i:j], i, j))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            while j < n and source[j] == "'":
-                j += 1
-            word = source[i:j]
-            if not allow_dotted and is_dotted(word.rstrip("'")):
+        start, end = m.span()
+        value = m.group()
+        if kind == "FIXED":
+            kind, value = _FIXED[value]
+        elif kind == "IDENT":
+            c = value[0]
+            if not (c.isalpha() or c == "_"):
+                raise ParseError(f"unexpected character {c!r}", (start, start + 1))
+            if not allow_dotted and is_dotted(value.rstrip("'")):
                 raise ParseError(
-                    f"the name '{word}' uses the reserved dotted suffix", (i, j)
+                    f"the name '{value}' uses the reserved dotted suffix", (start, end)
                 )
-            kind = "KW" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", (i, i + 1))
-    tokens.append(Token("EOF", "", n, n))
+            if value in KEYWORDS:
+                kind = "KW"
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", (start, end))
+        append(_new_token(Token, (kind, value, start, end)))
+    n = len(source)
+    append(Token("EOF", "", n, n))
     return tokens
 
 
@@ -280,135 +282,167 @@ def tokenize(source: str, allow_dotted: bool = False) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The parser reads `keys`, one per token: the token's kind, or the word itself
+# for a keyword, so one membership test covers both. A term is made only of
+# the tokens in `_TERM_KEYS`; `stops[i]` is the key of the first token at or
+# after `i` that is not one of them. `t .. R` and `t <| p |> t'` begin with a
+# term, and a term parsed from `i` can be followed by `..` or `<|` only if
+# `stops[i]` is that token. Elsewhere the attempt would be thrown away and
+# the tokens re-read, so the parser does not make it.
+_TERM_KEYS = frozenset({"IDENT", "LPAREN", "RPAREN", "LAMBDA", "DOT"})
+_TERM_ARG = frozenset({"IDENT", "LPAREN"})
+_POSTFIX = frozenset({"HAT", "LBRACK"})
+_PROOF_ARG = frozenset({"IDENT", "LPAREN", "iota", "conv_i", "conv_e"})
+_TYPE_INFIX = {"SUBSET": Subset, "DARROW": ImpProd, "RELEQ": RelEq}
+
 
 class _Parser:
     def __init__(self, source: str, allow_dotted: bool = False):
-        self.source = source
-        self.tokens = tokenize(source, allow_dotted)
+        self.tokens = tokens = tokenize(source, allow_dotted)
+        self.keys = keys = [t.value if t.kind == "KW" else t.kind for t in tokens]
+        self.stops = stops = keys[:]
+        stop = "EOF"
+        for i in range(len(keys) - 1, -1, -1):
+            key = keys[i]
+            if key in _TERM_KEYS:
+                stops[i] = stop
+            else:
+                stop = key
         self.pos = 0
+        # Term binders in scope: name -> the binder's level, counted from the
+        # outermost. `depth` is the number of enclosing term binders. Both are
+        # restored on the way out of a lambda, so every term entered from a
+        # type, proof or statement starts with an empty scope.
+        self.scope: dict[str, int] = {}
+        self.depth = 0
 
     # -- token plumbing --
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        t = self.peek()
-        self.pos += 1
-        return t
+    def at(self, key: str) -> bool:
+        return self.keys[self.pos] == key
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (value is None or t.value == value)
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, value):
-            want = value or kind.lower()
+    def expect(self, key: str) -> Token:
+        pos = self.pos
+        if self.keys[pos] != key:
+            t = self.tokens[pos]
+            want = key if key in KEYWORDS else key.lower()
             raise ParseError(f"expected {want}, found {t.value or 'end of input'}", (t.start, t.end))
-        return self.next()
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def ident(self) -> str:
         return self.expect("IDENT").value
 
+    def _prev_end(self) -> int:
+        return self.tokens[self.pos - 1].end if self.pos else 0
+
     # -- terms --
 
     def term(self) -> Term:
-        if self.at("LAMBDA"):
-            self.next()
-            name = self.ident()
-            self.expect("DOT")
+        if self.keys[self.pos] != "LAMBDA":
+            return self.term_app()
+        self.pos += 1
+        name = self.ident()
+        self.expect("DOT")
+        scope = self.scope
+        outer = scope.get(name)
+        scope[name] = self.depth
+        self.depth += 1
+        try:
             body = self.term()
-            return lam(name, body)
-        return self.term_app()
+        finally:
+            self.depth -= 1
+            if outer is None:
+                del scope[name]
+            else:
+                scope[name] = outer
+        return Lam(name, body)
 
     def term_app(self) -> Term:
         t = self.term_atom()
-        while self.at("IDENT") or self.at("LPAREN") or self.at("LAMBDA"):
-            if self.at("LAMBDA"):
-                # an argument lambda must be parenthesized; a bare one here
-                # would swallow the rest of the input silently
-                break
+        # a bare lambda argument is not taken: it must be parenthesized, or
+        # it would swallow the rest of the input silently
+        while self.keys[self.pos] in _TERM_ARG:
             t = App(t, self.term_atom())
         return t
 
     def term_atom(self) -> Term:
-        t = self.peek()
-        if self.at("IDENT"):
-            self.next()
-            return Var(t.value)
-        if self.at("LPAREN"):
-            self.next()
+        pos = self.pos
+        key = self.keys[pos]
+        if key == "IDENT":
+            self.pos = pos + 1
+            name = self.tokens[pos].value
+            level = self.scope.get(name)
+            return Var(name) if level is None else Bound(self.depth - 1 - level)
+        if key == "LPAREN":
+            self.pos = pos + 1
             inner = self.term()
             self.expect("RPAREN")
             return inner
+        t = self.tokens[pos]
         raise ParseError(f"expected a term, found {t.value or 'end of input'}", (t.start, t.end))
 
     # -- types --
 
     def type_(self) -> RelType:
-        if self.at("KW", "all"):
-            self.next()
+        key = self.keys[self.pos]
+        if key == "all" or key == "rec":
+            self.pos += 1
             name = self.ident()
             self.expect("DOT")
-            return all_(name, self.type_())
-        if self.at("KW", "rec"):
-            self.next()
-            name = self.ident()
-            self.expect("DOT")
-            return expand(Rec(name, self.type_()))
+            body = self.type_()
+            return all_(name, body) if key == "all" else expand(Rec(name, body))
         left = self.type_arrow()
-        if self.at("SUBSET"):
-            self.next()
-            return expand(Subset(left, self.type_arrow()))
-        if self.at("DARROW"):
-            self.next()
-            return expand(ImpProd(left, self.type_arrow()))
-        if self.at("RELEQ"):
-            self.next()
-            return expand(RelEq(left, self.type_arrow()))
-        return left
+        form = _TYPE_INFIX.get(self.keys[self.pos])
+        if form is None:
+            return left
+        self.pos += 1
+        return expand(form(left, self.type_arrow()))
 
     def type_arrow(self) -> RelType:
         dom = self.type_sum()
-        if self.at("ARROW"):
-            self.next()
-            if self.at("KW", "all") or self.at("KW", "rec"):
-                return Arrow(dom, self.type_())
-            return Arrow(dom, self.type_arrow())
-        return dom
+        if self.keys[self.pos] != "ARROW":
+            return dom
+        self.pos += 1
+        key = self.keys[self.pos]
+        if key == "all" or key == "rec":
+            return Arrow(dom, self.type_())
+        return Arrow(dom, self.type_arrow())
 
     def type_sum(self) -> RelType:
         left = self.type_conj()
-        if self.at("PLUS"):
-            self.next()
+        if self.keys[self.pos] == "PLUS":
+            self.pos += 1
             return expand(Sum(left, self.type_sum()))
         return left
 
     def type_conj(self) -> RelType:
-        # `t .. R`: starts with a term, needs backtracking to tell the
-        # conjugating term from a type variable
+        # `t .. R`: a term that is not followed by `..` is re-read as a type
         save = self.pos
-        try:
-            t = self.term()
-            if self.at("DOTDOT"):
-                self.next()
-                return expand(DConj(t, self.type_conj()))
-        except ParseError:
-            pass
-        self.pos = save
+        if self.stops[save] == "DOTDOT":
+            try:
+                t = self.term()
+                if self.keys[self.pos] == "DOTDOT":
+                    self.pos += 1
+                    return expand(DConj(t, self.type_conj()))
+            except ParseError:
+                pass
+            self.pos = save
         return self.type_comp()
 
     def type_comp(self) -> RelType:
         left = self.type_prefixed()
-        if self.at("STAR"):
-            self.next()
+        if self.keys[self.pos] == "STAR":
+            self.pos += 1
             return Comp(left, self.type_comp())
         return left
 
     def type_prefixed(self) -> RelType:
-        if self.at("LBRACK"):
-            self.next()
+        if self.keys[self.pos] == "LBRACK":
+            self.pos += 1
             t = self.term()
             self.expect("RBRACK")
             return expand(IntTypeL(t, self.type_prefixed()))
@@ -416,95 +450,96 @@ class _Parser:
 
     def type_postfixed(self) -> RelType:
         r = self.type_atom()
-        while True:
-            if self.at("HAT"):
-                self.next()
+        keys = self.keys
+        while (key := keys[self.pos]) in _POSTFIX:
+            self.pos += 1
+            if key == "HAT":
                 r = Conv(r)
-            elif self.at("LBRACK"):
-                self.next()
+            else:
                 t = self.term()
                 self.expect("RBRACK")
                 r = expand(IntTypeR(r, t))
-            else:
-                return r
+        return r
 
     def type_atom(self) -> RelType:
-        t = self.peek()
-        if self.at("IDENT"):
-            self.next()
+        pos = self.pos
+        key = self.keys[pos]
+        t = self.tokens[pos]
+        if key == "IDENT":
+            self.pos = pos + 1
             return TVar(t.value)
-        if self.at("NUMBER", "1"):
-            self.next()
+        if key == "NUMBER" and t.value == "1":
+            self.pos = pos + 1
             return expand(UnitForm())
-        if self.at("LBRACE"):
-            self.next()
+        if key == "LBRACE":
+            self.pos = pos + 1
             inner = self.term()
             self.expect("RBRACE")
             return Promote(inner)
-        if self.at("LPAREN"):
-            self.next()
+        if key == "LPAREN":
+            self.pos = pos + 1
             inner = self.type_()
             self.expect("RPAREN")
             return inner
-        if self.at("KW", "Dparam") or self.at("KW", "Dind"):
-            kw = self.next().value
+        if key == "Dparam" or key == "Dind":
+            self.pos = pos + 1
             self.expect("LPAREN")
             name = self.ident()
             self.expect("COMMA")
             body = self.type_()
             self.expect("RPAREN")
-            form = DParam(name, body) if kw == "Dparam" else DInd(name, body)
+            form = DParam(name, body) if key == "Dparam" else DInd(name, body)
             return expand(form)
         raise ParseError(f"expected a type, found {t.value or 'end of input'}", (t.start, t.end))
 
     # -- proofs --
 
     def proof(self) -> Proof:
-        start = self.peek().start
-        # conversion `t <| p |> t'` begins with a term; try that first
         save = self.pos
-        try:
-            left = self.term()
-            if self.at("LCONV"):
-                self.next()
-                body = self.proof()
-                self.expect("RCONV")
-                right = self.term()
-                return PConv(left, body, right, span=(start, self.tokens[self.pos - 1].end))
-        except ParseError:
-            pass
-        self.pos = save
+        # conversion `t <| p |> t'` begins with a term; a failed attempt is
+        # re-read as an application
+        if self.stops[save] == "LCONV":
+            start = self.tokens[save].start
+            try:
+                left = self.term()
+                if self.keys[self.pos] == "LCONV":
+                    self.pos += 1
+                    body = self.proof()
+                    self.expect("RCONV")
+                    right = self.term()
+                    return PConv(left, body, right, span=(start, self._prev_end()))
+            except ParseError:
+                pass
+            self.pos = save
         return self.proof_app()
 
     def proof_app(self) -> Proof:
         p = self.proof_atom()
+        keys = self.keys
         while True:
-            if self.at("LBRACE"):
-                start = self.peek().start
-                self.next()
+            key = keys[self.pos]
+            if key == "LBRACE":
+                start = self.tokens[self.pos].start
+                self.pos += 1
                 r = self.type_()
                 end = self.expect("RBRACE").end
                 p = PTyApp(p, r, span=(start, end))
-            elif (
-                self.at("IDENT")
-                or self.at("LPAREN")
-                or self.at("KW", "iota")
-                or self.at("KW", "conv_i")
-                or self.at("KW", "conv_e")
-            ):
+            elif key in _PROOF_ARG:
                 arg = self.proof_atom()
                 p = PApp(p, arg, span=(p.span[0] if p.span else 0, arg.span[1] if arg.span else 0))
             else:
                 return p
 
     def proof_atom(self) -> Proof:
-        t = self.peek()
+        pos = self.pos
+        key = self.keys[pos]
+        t = self.tokens[pos]
         start = t.start
-        if self.at("IDENT"):
-            self.next()
+        if key == "IDENT":
+            self.pos = pos + 1
             return PVar(t.value, span=(t.start, t.end))
-        if self.at("KW", "fun"):
-            self.next()
+        if key == "fun":
+            self.pos = pos + 1
             self.expect("LPAREN")
             pvar = self.ident()
             self.expect("COLON")
@@ -518,29 +553,29 @@ class _Parser:
             body = self.proof()
             end = body.span[1] if body.span else self.peek().start
             return PLam(pvar, self._subject_name(subj_l, t), rel, subj_r, body, span=(start, end))
-        if self.at("KW", "Fun"):
-            self.next()
+        if key == "Fun":
+            self.pos = pos + 1
             tvar = self.ident()
             self.expect("DARROW")
             body = self.proof()
             end = body.span[1] if body.span else self.peek().start
             return PTyLam(tvar, body, span=(start, end))
-        if self.at("KW", "conv_i") or self.at("KW", "conv_e"):
-            kw = self.next().value
+        if key == "conv_i" or key == "conv_e":
+            self.pos = pos + 1
             body = self.proof_atom()
             end = body.span[1] if body.span else self.peek().start
-            ctor = PConvI if kw == "conv_i" else PConvE
+            ctor = PConvI if key == "conv_i" else PConvE
             return ctor(body, span=(start, end))
-        if self.at("KW", "iota"):
-            self.next()
+        if key == "iota":
+            self.pos = pos + 1
             self.expect("LBRACE")
             left = self.term()
             self.expect("COMMA")
             promoted = self.term()
             end = self.expect("RBRACE").end
             return PIota(left, promoted, span=(start, end))
-        if self.at("KW", "rho"):
-            self.next()
+        if key == "rho":
+            self.pos = pos + 1
             self.expect("LBRACE")
             guide = self.ident()
             self.expect("DOT")
@@ -553,8 +588,8 @@ class _Parser:
             body = self.proof()
             end = body.span[1] if body.span else self.peek().start
             return PRho(guide, tmpl_l, tmpl_r, eq, body, span=(start, end))
-        if self.at("KW", "pi"):
-            self.next()
+        if key == "pi":
+            self.pos = pos + 1
             scrut = self.proof_app()
             self.expect("MINUS")
             mid = self.ident()
@@ -564,13 +599,13 @@ class _Parser:
             body = self.proof()
             end = body.span[1] if body.span else self.peek().start
             return PPi(scrut, mid, pl, pr, body, span=(start, end))
-        if self.at("LPAREN"):
-            self.next()
+        if key == "LPAREN":
+            self.pos = pos + 1
             first = self.proof()
-            if self.at("COMMA"):
-                self.next()
+            if self.keys[self.pos] == "COMMA":
+                self.pos += 1
                 second = self.proof()
-                self.expect("KW", "via")
+                self.expect("via")
                 mid = self.term()
                 end = self.expect("RPAREN").end
                 return PPair(first, second, mid, span=(start, end))
@@ -606,21 +641,22 @@ class _Parser:
 
     def statement(self):
         t = self.peek()
+        key = self.keys[self.pos]
         start = t.start
-        if self.at("KW", "def"):
-            self.next()
+        if key == "def":
+            self.pos += 1
             name = self.ident()
             self.expect("ASSIGN")
             body = self.term()
             return TermDef(name, body, span=(start, self._prev_end()))
-        if self.at("KW", "type"):
-            self.next()
+        if key == "type":
+            self.pos += 1
             name = self.ident()
             self.expect("ASSIGN")
             body = self.type_()
             return TypeDef(name, body, span=(start, self._prev_end()))
-        if self.at("KW", "proof"):
-            self.next()
+        if key == "proof":
+            self.pos += 1
             name = self.ident()
             self.expect("COLON")
             self.expect("LBRACK")
@@ -628,7 +664,7 @@ class _Parser:
             if not self.at("RBRACK"):
                 entries.append(self.context_entry())
                 while self.at("COMMA"):
-                    self.next()
+                    self.pos += 1
                     entries.append(self.context_entry())
             self.expect("RBRACK")
             self.expect("TURNSTILE")
@@ -636,8 +672,8 @@ class _Parser:
             self.expect("ASSIGN")
             body = self.proof()
             return ProofDef(name, tuple(entries), declared, body, span=(start, self._prev_end()))
-        if self.at("HASH"):
-            self.next()
+        if key == "HASH":
+            self.pos += 1
             word = self.ident()
             if word == "fuel":
                 count = int(self.expect("NUMBER").value)
@@ -659,9 +695,6 @@ class _Parser:
         raise ParseError(
             f"expected a statement, found {t.value or 'end of input'}", (t.start, t.end)
         )
-
-    def _prev_end(self) -> int:
-        return self.tokens[self.pos - 1].end if self.pos else 0
 
     def script(self) -> Script:
         statements = []

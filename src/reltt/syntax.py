@@ -502,8 +502,34 @@ def free_type_vars(e) -> set[str]:
 
 
 def alpha_eq(a, b) -> bool:
-    """Alpha-equivalence; hints are excluded from dataclass equality."""
-    return a == b
+    """Alpha-equivalence; hints are excluded from dataclass equality.
+
+    Terms are compared with an explicit stack, so a deep term needs no deep
+    recursion, and a shared subterm is equal to itself without a visit. Other
+    values are compared with `==`.
+    """
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y = pop()
+        if x is y:
+            continue
+        ty = type(x)
+        if ty is App:
+            if type(y) is not App:
+                return False
+            push((x.arg, y.arg))
+            push((x.fn, y.fn))
+        elif ty is Lam:
+            if type(y) is not Lam:
+                return False
+            push((x.body, y.body))
+        elif ty is Var or ty is Bound:
+            if type(y) is not ty or x != y:
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def fresh(base: str, avoid: set[str]) -> str:

@@ -251,3 +251,18 @@ def test_deep_terms_normalize_at_the_stock_recursion_limit(default_recursion_lim
         assert t.fn == Var("g")
         t = t.arg
     assert t == Var("y")
+
+
+def test_conversion_compares_deep_equal_terms_at_the_stock_recursion_limit(
+    default_recursion_limit,
+):
+    def spine():
+        t = Var("f")
+        for i in range(3000):
+            t = App(t, Var(f"a{i % 7}"))
+        return t
+
+    left, right = spine(), spine()
+    assert left is not right
+    assert conv_check(left, right) == EQUAL
+    assert conv_check(left, App(right.fn, Var("b"))) == DISTINCT

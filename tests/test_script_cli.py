@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from reltt import script
 from reltt.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from reltt.script import (
     dump,
@@ -295,3 +296,43 @@ def test_cli_internal_error_is_one_line_and_exit_3(tmp_path, capsys, default_rec
     out = capsys.readouterr().out
     assert out.startswith("reltt: error[internal]: RecursionError: ")
     assert out.count("\n") == 1
+
+
+def test_cli_fuel_pragma_takes_decimal_digits_only(tmp_path, capsys):
+    # `²` is a digit to `str.isdigit` but not to `int`
+    f = tmp_path / "superscript.rtt"
+    f.write_text("#fuel ²\n", encoding="utf-8")
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_USAGE
+    assert capsys.readouterr().out == f"{f}:1:7: error[parse-error]: unexpected character '²'\n"
+
+
+def test_cli_fuel_pragma_reads_non_ascii_decimal_digits(tmp_path, capsys):
+    # `٣` is the Arabic-Indic digit three; four redexes stop after three steps
+    f = tmp_path / "arabic.rtt"
+    f.write_text(
+        "#fuel ٣\n#normalize (\\x. x) ((\\x. x) ((\\x. x) ((\\x. x) y)))\n", encoding="utf-8"
+    )
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_OK
+    assert capsys.readouterr().out == f"{f}:2:1: fuel exhausted after 3 steps at (\\x. x) y\n"
+
+
+def test_echoes_are_rendered_only_when_read(monkeypatch):
+    rendered = []
+    render_judgment = script.render_judgment
+
+    def counting(j):
+        rendered.append(j)
+        return render_judgment(j)
+
+    monkeypatch.setattr(script, "render_judgment", counting)
+    result = run_script(parse(prelude_source(), allow_dotted=True))
+    assert result.ok and len(result.checked) == 17
+    assert rendered == []
+    echoes = [d for d in result.diagnostics if d.severity == "info"]
+    assert [d.message for d in echoes] == [
+        f"proof {c.name}: {render_judgment(c.judgment)}" for c in result.checked
+    ]
+    assert len(rendered) == 17
+    assert all(d.message.startswith("proof ") for d in echoes)  # a second read
+    assert len(rendered) == 17
+    assert all((d.kind, d.span[0] < d.span[1]) == ("note", True) for d in echoes)

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import reference_parser
 import reference_render
-from generators import random_scoped_term, random_scoped_type, term_strategy, type_strategy
+from generators import (
+    HINTS,
+    TYPE_HINTS,
+    random_scoped_term,
+    random_scoped_type,
+    term_strategy,
+    type_strategy,
+)
 from reltt.kernel import (
     PConv,
     PConvE,
@@ -25,9 +36,11 @@ from reltt.kernel import (
 )
 from reltt.prelude import DConj, IntTypeL, Sum, expand
 from reltt.script import prelude_source
+from reltt import surface
 from reltt.surface import (
     ParseError,
     ProofDef,
+    Token,
     parse,
     parse_proof,
     parse_term,
@@ -35,6 +48,7 @@ from reltt.surface import (
     render_proof,
     render_term,
     render_type,
+    tokenize,
 )
 from reltt.syntax import (
     All,
@@ -218,3 +232,276 @@ def test_corpus_proofs_round_trip_through_the_renderer():
     for stmt in proofs:
         rendered = render_proof(stmt.proof)
         assert parse_proof(rendered, allow_dotted=True) == stmt.proof, stmt.name
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer
+# ---------------------------------------------------------------------------
+
+# Every fixed spelling and the kind it must lex to, written out independently
+# of the lexer's tables.
+SPELLINGS = [
+    (":=", "ASSIGN"),
+    ("|-", "TURNSTILE"),
+    ("<|", "LCONV"),
+    ("|>", "RCONV"),
+    ("->", "ARROW"),
+    ("=>", "DARROW"),
+    ("<=", "SUBSET"),
+    ("~~", "RELEQ"),
+    ("..", "DOTDOT"),
+    ("^", "HAT"),
+    ("*", "STAR"),
+    ("+", "PLUS"),
+    ("{", "LBRACE"),
+    ("}", "RBRACE"),
+    ("(", "LPAREN"),
+    (")", "RPAREN"),
+    ("[", "LBRACK"),
+    ("]", "RBRACK"),
+    ("\\", "LAMBDA"),
+    (".", "DOT"),
+    (",", "COMMA"),
+    (":", "COLON"),
+    ("-", "MINUS"),
+    ("#", "HASH"),
+    ("λ", "LAMBDA"),
+    ("·", "STAR"),
+    ("→", "ARROW"),
+    ("⊆", "SUBSET"),
+    ("⇒", "DARROW"),
+    ("≅", "RELEQ"),
+    ("∪", "HAT"),
+    ("⋅⋅", "DOTDOT"),
+    ("⋅", "STAR"),
+]
+
+
+def test_the_spelling_table_covers_every_lexer_entry():
+    tables = {**surface._TWO_CHAR, **surface._ONE_CHAR, **surface._UNICODE_ONE}
+    assert {text for text, _ in SPELLINGS} == set(tables) | {"⋅⋅", "⋅"}
+    assert len(SPELLINGS) == len(tables) + 2
+
+
+@pytest.mark.parametrize("text, kind", SPELLINGS)
+def test_every_fixed_spelling_is_one_token(text, kind):
+    end = 2 + len(text)
+    assert tokenize(f"a {text} b") == [
+        Token("IDENT", "a", 0, 1),
+        Token(kind, text, 2, end),
+        Token("IDENT", "b", end + 1, end + 2),
+        Token("EOF", "", end + 2, end + 2),
+    ]
+
+
+def test_forall_sign_is_the_all_keyword():
+    assert tokenize("∀X. X") == [
+        Token("KW", "all", 0, 1),
+        Token("IDENT", "X", 1, 2),
+        Token("DOT", ".", 2, 3),
+        Token("IDENT", "X", 4, 5),
+        Token("EOF", "", 5, 5),
+    ]
+
+
+def test_comments_run_to_the_end_of_the_line_or_input():
+    assert tokenize("a -- note") == [Token("IDENT", "a", 0, 1), Token("EOF", "", 9, 9)]
+    assert tokenize("a -- x\nb--") == [
+        Token("IDENT", "a", 0, 1),
+        Token("IDENT", "b", 7, 8),
+        Token("EOF", "", 10, 10),
+    ]
+    assert tokenize("a->b") == [
+        Token("IDENT", "a", 0, 1),
+        Token("ARROW", "->", 1, 3),
+        Token("IDENT", "b", 3, 4),
+        Token("EOF", "", 4, 4),
+    ]
+
+
+def test_primes_end_an_identifier():
+    assert [(t.kind, t.value) for t in tokenize("x' f'' x'y _'")] == [
+        ("IDENT", "x'"),
+        ("IDENT", "f''"),
+        ("IDENT", "x'"),
+        ("IDENT", "y"),
+        ("IDENT", "_'"),
+        ("EOF", ""),
+    ]
+
+
+def test_non_ascii_letters_and_digits_inside_identifiers():
+    # `١` and `٣` (Arabic-Indic one and three) are decimal digits; `²` is a
+    # digit that is not decimal, so `int` rejects it
+    assert [(t.kind, t.value) for t in tokenize("αβ x١ y² ١x ٣")] == [
+        ("IDENT", "αβ"),
+        ("IDENT", "x١"),
+        ("IDENT", "y²"),
+        ("NUMBER", "١"),
+        ("IDENT", "x"),
+        ("NUMBER", "٣"),
+        ("EOF", ""),
+    ]
+    assert tokenize("fun") == [Token("KW", "fun", 0, 3), Token("EOF", "", 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "source, char, offset", [("²", "²", 0), ("x ²y", "²", 2), ("a ? b", "?", 2), ("'", "'", 0)]
+)
+def test_unexpected_characters_are_parse_errors(source, char, offset):
+    with pytest.raises(ParseError) as e:
+        tokenize(source)
+    assert e.value.message == f"unexpected character {char!r}"
+    assert e.value.span == (offset, offset + 1)
+
+
+def test_dotted_suffix_error_spans_the_whole_name():
+    with pytest.raises(ParseError) as e:
+        tokenize("a x_dot'' b")
+    assert e.value.message == "the name 'x_dot''' uses the reserved dotted suffix"
+    assert e.value.span == (2, 9)
+
+
+def test_scanner_classes_agree_with_the_str_predicates_on_every_code_point():
+    # every code point, surrogates included, as one string
+    codes = array("I", range(sys.maxunicode + 1))
+    assert codes.itemsize == 4
+    every = codes.tobytes().decode(f"utf-32-{sys.byteorder[0]}e", "surrogatepass")
+
+    def matching(pattern):
+        return "".join(re.findall(pattern, every))
+
+    assert matching(surface._DIGIT) == "".join(filter(str.isdecimal, every))
+    word = matching(surface._IDENT_CHAR)
+    assert word.replace("_", "") == "".join(filter(str.isalnum, every)) and "_" in word
+    starts = set(matching(surface._IDENT_START))
+    letters = set(filter(str.isalpha, every)) | {"_"}
+    assert letters <= starts
+    # the rest of the start class are numeric characters that are not
+    # letters, and the tokenizer rejects each of them
+    assert all(c.isnumeric() for c in starts - letters)
+    for c in starts - letters:
+        with pytest.raises(ParseError, match="unexpected character"):
+            tokenize(c)
+
+
+def test_the_packaged_library_is_11052_tokens_ending_in_eof():
+    # The benchmark's `surface.tokens` counts `len(tokenize(...))`. Pinning
+    # it keeps that figure comparable across changes to the lexer.
+    tokens = tokenize(prelude_source(), True)
+    assert len(tokens) == 11052
+    assert tokens[-1].kind == "EOF"
+    assert all(t.kind != "EOF" for t in tokens[:-1])
+
+
+# ---------------------------------------------------------------------------
+# The parser against the one it replaced
+# ---------------------------------------------------------------------------
+
+
+def test_term_binders_are_resolved_while_parsing():
+    shadowed = parse_term("\\x. \\y. \\x. x y z")
+    assert shadowed == Lam("x", Lam("y", Lam("x", app(Bound(0), Bound(1), Var("z")))))
+    assert (shadowed.hint, shadowed.body.hint, shadowed.body.body.hint) == ("x", "y", "x")
+    assert parse_term("(\\x. x) x") == App(Lam("x", Bound(0)), Var("x"))
+    # a term inside a type, proof or statement starts with no binder in scope
+    assert parse_type("{\\x. x} * {x}") == Comp(Promote(Lam("x", Bound(0))), Promote(Var("x")))
+    assert parse_proof("(\\x. x) <| u |> x") == PConv(Lam("x", Bound(0)), PVar("u"), Var("x"))
+
+
+def test_a_failed_term_attempt_leaves_no_binder_in_scope():
+    # `(\x. (` is tried as the term of `t .. R` and fails inside the lambda
+    p = surface._Parser("(\\x. ( .. R")
+    with pytest.raises(ParseError, match="expected a type"):
+        p.type_()
+    assert (p.scope, p.depth) == ({}, 0)
+
+
+_PARSERS = {
+    "script": (parse, reference_parser.parse),
+    "term": (parse_term, reference_parser.parse_term),
+    "type": (parse_type, reference_parser.parse_type),
+    "proof": (parse_proof, reference_parser.parse_proof),
+}
+
+
+def _outcome(parse_fn, text, allow_dotted):
+    try:
+        return repr(parse_fn(text, allow_dotted))
+    except ParseError as e:
+        return ("ParseError", e.message, e.span)
+
+
+def _random_texts(rng, count):
+    """Rendered scoped terms and types, alone and inside every term context."""
+    texts = []
+    for _ in range(count):
+        t = random_scoped_term(rng, rng.randint(1, 16))
+        while t.loose:
+            t = Lam(rng.choice(HINTS), t)
+        r = random_scoped_type(rng, rng.randint(1, 16))
+        for _ in range(3):
+            if "?" not in render_type(r):
+                break
+            r = All(rng.choice(TYPE_HINTS), r)
+        term, rel = render_term(t), render_type(r)
+        texts += [
+            ("term", term),
+            ("type", rel),
+            ("type", f"{term} .. {rel} -> [{term}] {rel} [{term}] + {{{term}}}"),
+            ("proof", f"{term} <| u iota {{{term}, {term}}} {{{rel}}} conv_e v |> {term}"),
+            ("proof", f"fun (u : x [{rel}] y) => (u, rho {{x. {term}, x}} u - u via {term})"),
+            (
+                "script",
+                f"def d := {term}\n#normalize {term}\n"
+                f"proof p : [u : {term} [{rel}] y] |- {term} [{rel}] y := u",
+            ),
+        ]
+    return texts
+
+
+def _mutants(rng, text):
+    """`text` with one token deleted, one duplicated, and cut before one."""
+    try:
+        tokens = reference_parser.tokenize(text, True)[:-1]
+    except ParseError:
+        return []
+    if not tokens:
+        return []
+    gone, twice, cut = (rng.choice(tokens) for _ in range(3))
+    return [
+        text[: gone.start] + text[gone.end :],
+        text[: twice.end] + " " + text[twice.start :],
+        text[: cut.start],
+    ]
+
+
+def test_parser_matches_the_reference_parser():
+    # Equal trees (by repr, so binder hints count) or equal parse errors,
+    # against the parser that closed every binder after parsing it
+    # (tests/reference_parser.py): the packaged library and the corpus,
+    # rendered random terms and types with shadowed and clashing binder
+    # names, and all of these with a token deleted, duplicated or cut off.
+    rng = random.Random(808)
+    sources = [(prelude_source(), True)] + [
+        (path.read_text(), False) for path in sorted(CORPUS.rglob("*.rtt"))
+    ]
+    cases = [("script", source, dotted) for source, dotted in sources]
+    statements = []
+    for source, dotted in sources:
+        for stmt in reference_parser.parse(source, dotted).statements:
+            start, end = stmt.span
+            if end - start < 400:
+                statements.append(("script", source[start:end], dotted))
+    generated = [(kind, text, False) for kind, text in _random_texts(rng, 60)]
+    cases += statements + generated
+    for kind, text, dotted in statements + rng.sample(generated, 180):
+        cases += [(kind, mutant, dotted) for mutant in _mutants(rng, text)]
+    parsed = 0
+    for kind, text, dotted in cases:
+        new, old = _PARSERS[kind]
+        got = _outcome(new, text, dotted)
+        assert got == _outcome(old, text, dotted), (kind, text)
+        parsed += isinstance(got, str)
+    assert len(cases) > 1000
+    assert 0.3 < parsed / len(cases) < 0.8

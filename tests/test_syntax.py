@@ -220,3 +220,40 @@ def test_cached_loose_range_is_not_part_of_equality_or_repr():
     assert repr(App(Var("f"), Bound(3))) == "App(fn=Var(name='f'), arg=Bound(index=3))"
     assert (Var.__match_args__, Bound.__match_args__) == (("name",), ("index",))
     assert (Lam.__match_args__, App.__match_args__) == (("hint", "body"), ("fn", "arg"))
+
+
+
+def _rebuilt(t, target):
+    """`t` built again from new nodes with new hints; its `target`-th leaf
+    (counted from 1 left to right, 0 for none) turned into another leaf."""
+    seen = [0]
+
+    def go(u):
+        if type(u) is App:
+            return App(go(u.fn), go(u.arg))
+        if type(u) is Lam:
+            return Lam(u.hint + "'", go(u.body))
+        seen[0] += 1
+        if seen[0] == target:
+            return Var("other") if type(u) is Bound else Bound(0)
+        return Var(u.name) if type(u) is Var else Bound(u.index)
+
+    return go(t)
+
+
+def test_alpha_eq_agrees_with_structural_equality():
+    # Separately built copies, half of them with one leaf changed, and
+    # subterms shared with the original; types and judgments too.
+    rng = random.Random(4242)
+    equal = 0
+    for _ in range(3000):
+        pool: list = []
+        a = random_scoped_term(rng, rng.randint(1, 12), rng.randrange(2), pool)
+        b = rng.choice((_rebuilt(a, rng.choice((0, rng.randint(1, 12)))), rng.choice(pool)))
+        assert alpha_eq(a, b) == (a == b) == alpha_eq(b, a), (a, b)
+        equal += a == b
+    assert 1000 < equal < 2500
+    x, y = lam("x", Var("x")), lam("y", Var("y"))
+    assert alpha_eq(Promote(x), Promote(y)) and not alpha_eq(Promote(x), Promote(K))
+    assert alpha_eq(Judgment(x, TVar("R"), y), Judgment(y, TVar("R"), x))
+    assert not alpha_eq(x, Promote(x)) and not alpha_eq(Var("x"), TVar("x"))
