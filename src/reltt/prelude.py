@@ -80,12 +80,8 @@ from .systemf import (
     DGen,
     DInst,
     DVar,
-    FArrow,
     FDerivation,
-    FTVar,
-    FType,
     embed_f,
-    fall,
     identity_term,
     is_f_type,
     pair_term,
@@ -352,9 +348,9 @@ def gen_fmap_deriv(
     return _fmap_build(x, r, p, [], xplus, xminus, set(avoid), tv_taken | {xplus, xminus})
 
 
-def _forall_wrap(names: list[str], t: FType) -> FType:
+def _forall_wrap(names: list[str], t: RelType) -> RelType:
     for name in reversed(names):
-        t = fall(name, t)
+        t = all_(name, t)
     return t
 
 
@@ -370,7 +366,7 @@ def _fmap_build(
 ) -> FDerivation:
     src = xplus if p == PLUS else xminus
     dst = xminus if p == PLUS else xplus
-    hom = FArrow(FTVar(xplus), FTVar(xminus))
+    hom = Arrow(TVar(xplus), TVar(xminus))
 
     match r:
         case TVar(n) if n == x:
@@ -383,11 +379,11 @@ def _fmap_build(
             z = fresh("z", taken)
             return DAbs(z, hom, DVar(z))
         case TVar(n):
-            t = _forall_wrap(prefix, FTVar(n))
+            t = _forall_wrap(prefix, TVar(n))
             a = fresh("a", taken)
             b = fresh("b", taken | {a})
             z = fresh("z", taken | {a, b})
-            kept = DAbs(a, FArrow(t, t), DAbs(b, hom, DVar(a)))
+            kept = DAbs(a, Arrow(t, t), DAbs(b, hom, DVar(a)))
             return DApp(kept, DAbs(z, t, DVar(z)))
         case Arrow(dom, cod):
             a1 = rename_ftvars(dom, {x: src})
@@ -401,10 +397,10 @@ def _fmap_build(
             inner_taken = taken | {f, a, xa, ya}
             d_dom = _fmap_build(x, dom, flip(p), [], xplus, xminus, inner_taken, ty_taken)
             d_cod = _fmap_build(x, cod, p, [], xplus, xminus, inner_taken, ty_taken)
-            arg_ty = _forall_wrap(prefix, FArrow(a1, a2))
+            arg_ty = _forall_wrap(prefix, Arrow(a1, a2))
             a_inst: FDerivation = DVar(a)
             for y in prefix:
-                a_inst = DInst(FTVar(y), a_inst)
+                a_inst = DInst(TVar(y), a_inst)
             through = DAbs(
                 ya,
                 a1,
@@ -435,10 +431,10 @@ def _fmap_build(
     raise TypeError(f"not a type: {r!r}")
 
 
-def dparam_ftype(x: str, r: RelType) -> FType:
+def dparam_ftype(x: str, r: RelType) -> RelType:
     """The parametric datatype's F type: forall X. (R -> X) -> X."""
     _require_f_shaped(r, "the parametric datatype")
-    return fall(x, FArrow(FArrow(r, FTVar(x)), FTVar(x)))
+    return all_(x, Arrow(Arrow(r, TVar(x)), TVar(x)))
 
 
 def gen_fold_deriv(
@@ -458,8 +454,8 @@ def gen_fold_deriv(
     fr_nb = rename_ftvars(r, {x: nb})
     a = fresh("a", set(avoid))
     xv = fresh("x", set(avoid) | {a})
-    body = DApp(DInst(FTVar(nb), DVar(xv)), DVar(a))
-    return DGen(nb, DAbs(a, FArrow(fr_nb, FTVar(nb)), DAbs(xv, d, body)))
+    body = DApp(DInst(TVar(nb), DVar(xv)), DVar(a))
+    return DGen(nb, DAbs(a, Arrow(fr_nb, TVar(nb)), DAbs(xv, d, body)))
 
 
 def gen_in_deriv(
@@ -485,17 +481,17 @@ def gen_in_deriv(
     ty_taken = set(avoid_tvars) | free_vars(r)[1] | {x}
 
     fold_d = gen_fold_deriv(x, r, frozenset(inner_taken), frozenset(ty_taken))
-    fold_at = DApp(DInst(FTVar(x), fold_d), DVar(a))
+    fold_at = DApp(DInst(TVar(x), fold_d), DVar(a))
 
     fmap_d = gen_fmap_deriv(x, r, PLUS, frozenset(inner_taken), frozenset(ty_taken))
     xplus = fresh(x + "p", ty_taken)
     xminus = fresh(x + "m", ty_taken | {xplus})
     fmap_at = DInst(
-        FTVar(x), DGen(xminus, DInst(d, DGen(xplus, fmap_d)))
+        TVar(x), DGen(xminus, DInst(d, DGen(xplus, fmap_d)))
     )
 
     body = DApp(DVar(a), DApp(DApp(fmap_at, fold_at), DVar(xv)))
-    return DAbs(xv, d_sub, DGen(x, DAbs(a, FArrow(r, FTVar(x)), body)))
+    return DAbs(xv, d_sub, DGen(x, DAbs(a, Arrow(r, TVar(x)), body)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +503,13 @@ def gen_in_deriv(
 class StdlibEntry:
     name: str
     term: Term
-    ftype: FType
+    ftype: RelType
     derivation: FDerivation
     proof: Proof
     judgment: Judgment
 
 
-def _entry(name: str, term: Term, ftype: FType, deriv: FDerivation) -> StdlibEntry:
+def _entry(name: str, term: Term, ftype: RelType, deriv: FDerivation) -> StdlibEntry:
     subject, ty = validate_f((), deriv)
     if not (alpha_eq(subject, term) and alpha_eq(ty, ftype)):
         raise RuntimeError(f"stdlib entry '{name}' does not match its derivation")
@@ -522,20 +518,20 @@ def _entry(name: str, term: Term, ftype: FType, deriv: FDerivation) -> StdlibEnt
     return StdlibEntry(name, term, ftype, deriv, proof, judgment)
 
 
-UNIT_F = fall("X", FArrow(FTVar("X"), FTVar("X")))
-BOOL_F = fall("X", FArrow(FTVar("X"), FArrow(FTVar("X"), FTVar("X"))))
+UNIT_F = all_("X", Arrow(TVar("X"), TVar("X")))
+BOOL_F = all_("X", Arrow(TVar("X"), Arrow(TVar("X"), TVar("X"))))
 
 
-def _sum_f(a: FType, b: FType) -> FType:
+def _sum_f(a: RelType, b: RelType) -> RelType:
     y = fresh("Y", free_type_vars((a, b)))
-    return fall(
-        y, FArrow(FArrow(a, FTVar(y)), FArrow(FArrow(b, FTVar(y)), FTVar(y)))
+    return all_(
+        y, Arrow(Arrow(a, TVar(y)), Arrow(Arrow(b, TVar(y)), TVar(y)))
     )
 
 
-def _prod_f(a: FType, b: FType) -> FType:
+def _prod_f(a: RelType, b: RelType) -> RelType:
     x = fresh("X", free_type_vars((a, b)))
-    return fall(x, FArrow(FArrow(a, FArrow(b, FTVar(x))), FTVar(x)))
+    return all_(x, Arrow(Arrow(a, Arrow(b, TVar(x))), TVar(x)))
 
 
 NAT_R = expand(NatForm())
@@ -551,25 +547,25 @@ _STDLIB_AVOID = frozenset({"n", "m", "c", "s", "p"})
 
 
 def _tt_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", FTVar("X"), DAbs("y", FTVar("X"), DVar("x"))))
+    return DGen("X", DAbs("x", TVar("X"), DAbs("y", TVar("X"), DVar("x"))))
 
 
 def _ff_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", FTVar("X"), DAbs("y", FTVar("X"), DVar("y"))))
+    return DGen("X", DAbs("x", TVar("X"), DAbs("y", TVar("X"), DVar("y"))))
 
 
 def _unit_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", FTVar("X"), DVar("x")))
+    return DGen("X", DAbs("x", TVar("X"), DVar("x")))
 
 
 def _k_deriv() -> FDerivation:
     return DGen(
-        "A", DGen("B", DAbs("x", FTVar("A"), DAbs("y", FTVar("B"), DVar("x"))))
+        "A", DGen("B", DAbs("x", TVar("A"), DAbs("y", TVar("B"), DVar("x"))))
     )
 
 
 def _pair_deriv() -> FDerivation:
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     inner = DAbs(
         "x",
         a,
@@ -580,7 +576,7 @@ def _pair_deriv() -> FDerivation:
                 "Z",
                 DAbs(
                     "c",
-                    FArrow(a, FArrow(b, FTVar("Z"))),
+                    Arrow(a, Arrow(b, TVar("Z"))),
                     DApp(DApp(DVar("c"), DVar("x")), DVar("y")),
                 ),
             ),
@@ -590,7 +586,7 @@ def _pair_deriv() -> FDerivation:
 
 
 def _fst_deriv() -> FDerivation:
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     keep = DAbs("x", a, DAbs("y", b, DVar("x")))
     return DGen(
         "A",
@@ -599,7 +595,7 @@ def _fst_deriv() -> FDerivation:
 
 
 def _snd_deriv() -> FDerivation:
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     keep = DAbs("x", a, DAbs("y", b, DVar("y")))
     return DGen(
         "A",
@@ -608,7 +604,7 @@ def _snd_deriv() -> FDerivation:
 
 
 def _inl_deriv() -> FDerivation:
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     inner = DAbs(
         "a",
         a,
@@ -616,8 +612,8 @@ def _inl_deriv() -> FDerivation:
             "Z",
             DAbs(
                 "n",
-                FArrow(a, FTVar("Z")),
-                DAbs("m", FArrow(b, FTVar("Z")), DApp(DVar("n"), DVar("a"))),
+                Arrow(a, TVar("Z")),
+                DAbs("m", Arrow(b, TVar("Z")), DApp(DVar("n"), DVar("a"))),
             ),
         ),
     )
@@ -625,7 +621,7 @@ def _inl_deriv() -> FDerivation:
 
 
 def _inr_deriv() -> FDerivation:
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     inner = DAbs(
         "b",
         b,
@@ -633,8 +629,8 @@ def _inr_deriv() -> FDerivation:
             "Z",
             DAbs(
                 "n",
-                FArrow(a, FTVar("Z")),
-                DAbs("m", FArrow(b, FTVar("Z")), DApp(DVar("m"), DVar("b"))),
+                Arrow(a, TVar("Z")),
+                DAbs("m", Arrow(b, TVar("Z")), DApp(DVar("m"), DVar("b"))),
             ),
         ),
     )
@@ -642,13 +638,13 @@ def _inr_deriv() -> FDerivation:
 
 
 def _branches_deriv() -> FDerivation:
-    a, b, z = FTVar("A"), FTVar("B"), FTVar("Z")
+    a, b, z = TVar("A"), TVar("B"), TVar("Z")
     inner = DAbs(
         "n",
-        FArrow(a, z),
+        Arrow(a, z),
         DAbs(
             "m",
-            FArrow(b, z),
+            Arrow(b, z),
             DAbs(
                 "c",
                 _sum_f(a, b),
@@ -662,7 +658,7 @@ def _branches_deriv() -> FDerivation:
 def _inj_splice(left: bool) -> FDerivation:
     """An injection derivation with internal binders clear of the stdlib
     composition scopes, for splicing under other binders."""
-    a, b = FTVar("A"), FTVar("B")
+    a, b = TVar("A"), TVar("B")
     payload = "w"
     inner = DAbs(
         payload,
@@ -671,10 +667,10 @@ def _inj_splice(left: bool) -> FDerivation:
             "Z",
             DAbs(
                 "j",
-                FArrow(a, FTVar("Z")),
+                Arrow(a, TVar("Z")),
                 DAbs(
                     "k",
-                    FArrow(b, FTVar("Z")),
+                    Arrow(b, TVar("Z")),
                     DApp(DVar("j" if left else "k"), DVar(payload)),
                 ),
             ),
@@ -683,11 +679,11 @@ def _inj_splice(left: bool) -> FDerivation:
     return DGen("A", DGen("B", inner))
 
 
-def _inl_at(a: FType, b: FType) -> FDerivation:
+def _inl_at(a: RelType, b: RelType) -> FDerivation:
     return DInst(b, DInst(a, _inj_splice(True)))
 
 
-def _inr_at(a: FType, b: FType) -> FDerivation:
+def _inr_at(a: RelType, b: RelType) -> FDerivation:
     return DInst(b, DInst(a, _inj_splice(False)))
 
 
@@ -789,35 +785,35 @@ def stdlib() -> dict[str, StdlibEntry]:
     its dotted copy at the entry's type.
     """
     terms = _stdlib_terms()
-    a, b, z = FTVar("A"), FTVar("B"), FTVar("Z")
-    id_f = fall("A", FArrow(a, a))
-    k_f = fall("A", fall("B", FArrow(a, FArrow(b, a))))
-    pair_f = fall("A", fall("B", FArrow(a, FArrow(b, _prod_f(a, b)))))
-    fst_f = fall("A", fall("B", FArrow(_prod_f(a, b), a)))
-    snd_f = fall("A", fall("B", FArrow(_prod_f(a, b), b)))
-    inl_f = fall("A", fall("B", FArrow(a, _sum_f(a, b))))
-    inr_f = fall("A", fall("B", FArrow(b, _sum_f(a, b))))
-    branches_f = fall(
+    a, b, z = TVar("A"), TVar("B"), TVar("Z")
+    id_f = all_("A", Arrow(a, a))
+    k_f = all_("A", all_("B", Arrow(a, Arrow(b, a))))
+    pair_f = all_("A", all_("B", Arrow(a, Arrow(b, _prod_f(a, b)))))
+    fst_f = all_("A", all_("B", Arrow(_prod_f(a, b), a)))
+    snd_f = all_("A", all_("B", Arrow(_prod_f(a, b), b)))
+    inl_f = all_("A", all_("B", Arrow(a, _sum_f(a, b))))
+    inr_f = all_("A", all_("B", Arrow(b, _sum_f(a, b))))
+    branches_f = all_(
         "A",
-        fall(
+        all_(
             "B",
-            fall(
+            all_(
                 "Z",
-                FArrow(
-                    FArrow(a, z), FArrow(FArrow(b, z), FArrow(_sum_f(a, b), z))
+                Arrow(
+                    Arrow(a, z), Arrow(Arrow(b, z), Arrow(_sum_f(a, b), z))
                 ),
             ),
         ),
     )
-    fold_f = fall(
+    fold_f = all_(
         "X",
-        FArrow(
-            FArrow(project_type(_ONE_PLUS_X), FTVar("X")),
-            FArrow(NAT_F, FTVar("X")),
+        Arrow(
+            Arrow(project_type(_ONE_PLUS_X), TVar("X")),
+            Arrow(NAT_F, TVar("X")),
         ),
     )
-    in_f = FArrow(subst_tvar(NAT_F, "X", project_type(_ONE_PLUS_X)), NAT_F)
-    rebuild_f = FArrow(NAT_F, NAT_F)
+    in_f = Arrow(subst_tvar(NAT_F, "X", project_type(_ONE_PLUS_X)), NAT_F)
+    rebuild_f = Arrow(NAT_F, NAT_F)
     nat_op = [
         ("I", id_f, DGen("A", DAbs("x", a, DVar("x")))),
         ("K", k_f, _k_deriv()),
@@ -834,8 +830,8 @@ def stdlib() -> dict[str, StdlibEntry]:
         ("in_nat", in_f, _in_nat_deriv()),
         ("rebuild_nat", rebuild_f, _rebuild_nat_deriv()),
         ("zero", NAT_F, _zero_deriv()),
-        ("succ", FArrow(NAT_F, NAT_F), _succ_deriv()),
-        ("add", FArrow(NAT_F, FArrow(NAT_F, NAT_F)), _add_deriv()),
+        ("succ", Arrow(NAT_F, NAT_F), _succ_deriv()),
+        ("add", Arrow(NAT_F, Arrow(NAT_F, NAT_F)), _add_deriv()),
     ]
     return {
         name: _entry(name, terms[name], ftype, deriv) for name, ftype, deriv in nat_op

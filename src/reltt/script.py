@@ -76,11 +76,12 @@ from .syntax import (
     ContextEntry,
     Judgment,
     RelType,
+    TVar,
     Term,
     free_type_vars,
+    rebuild_type,
     subst_term_multi,
     subst_terms_in_type,
-    subst_tvars,
 )
 from .systemf import (
     FError,
@@ -170,11 +171,19 @@ def _elab_term(t: Term, env: Env) -> Term:
 
 
 def _elab_type(r: RelType, env: Env) -> RelType:
-    if env.types:
-        r = subst_tvars(env.types, r)
-    if env.terms:
-        r = subst_terms_in_type(env.terms, r)
-    return r
+    """Expand the type names of `env.types` and, inside promotions, the term
+    names of `env.terms`, in one simultaneous pass. An expansion is not walked
+    again, so a name defined later never reaches into an earlier `type`."""
+    types, terms = env.types, env.terms
+    if not (types or terms):
+        return r
+
+    def leaf(x: RelType, d: int) -> RelType:
+        if type(x) is TVar:
+            return types.get(x.name, x)
+        return subst_terms_in_type(terms, x)
+
+    return rebuild_type(r, leaf)
 
 
 def _elab_entry(e: ContextEntry, env: Env) -> ContextEntry:

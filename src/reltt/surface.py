@@ -89,7 +89,7 @@ from .syntax import (
     all_,
     fresh,
 )
-from .systemf import is_dotted
+from .systemf import DOT_SUFFIX
 
 
 class ParseError(Exception):
@@ -264,7 +264,7 @@ def tokenize(source: str, allow_dotted: bool = False) -> list[Token]:
             c = value[0]
             if not (c.isalpha() or c == "_"):
                 raise ParseError(f"unexpected character {c!r}", (start, start + 1))
-            if not allow_dotted and is_dotted(value.rstrip("'")):
+            if not allow_dotted and value.rstrip("'").endswith(DOT_SUFFIX):
                 raise ParseError(
                     f"the name '{value}' uses the reserved dotted suffix", (start, end)
                 )

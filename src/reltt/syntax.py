@@ -12,11 +12,18 @@ variable and closes again afterwards. There are two exceptions. Reduction
 steps under binders without opening them, using `shift_term`, `subst_bound`
 and `bound_occurs`. The renderer (`surface.render_term`, `render_type`)
 never opens a body: it prints an index as the name it chose for that
-binder, from an environment of the names chosen so far. Apart from those
-two, only `open_term`/`close_term` and `open_type`/`close_type` touch
-indices, and all of these reuse the subterms they leave unchanged. System F
-types are relational types too (see `systemf.is_f_type`), so they share these
-binder operations rather than keeping their own.
+binder, from an environment of the names chosen so far.
+
+Apart from those two, the binder machinery is one structural rebuild per
+syntax family: `rebuild_term` for terms and `rebuild_type` for types. Each
+walks to the leaves, counts the binders it passes, and hands every leaf with
+that depth to a leaf function; a subterm that comes back unchanged is reused
+as the same object. Closing (`close_term`, `close_type`), opening
+(`open_term`, `open_type`) and simultaneous substitution of free names
+(`subst_term_multi`, `subst_tvars`, `subst_terms_in_type`) are each just a
+leaf function over one of the two. System F types are relational types too
+(see `systemf.is_f_type`), so they share these binder operations rather than
+keeping their own.
 
 Every term caches its loose-index range in `loose`: one more than the largest
 index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
@@ -34,6 +41,7 @@ across a type, so the two index spaces never interact.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -107,42 +115,43 @@ def app(fn: Term, *args: Term) -> Term:
     return t
 
 
-def close_term(t: Term, name: str, depth: int = 0) -> Term:
-    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
+    """Rebuild `t` with each `Var` or `Bound` leaf `x` replaced by `leaf(x, d)`.
+
+    `d` is `depth` plus the number of lambdas between `t` and the leaf. A
+    subterm the rebuild leaves unchanged is returned as the same object.
+    """
     ty = type(t)
     if ty is App:
         f, a = t.fn, t.arg
-        nf = close_term(f, name, depth)
-        na = close_term(a, name, depth)
+        nf = rebuild_term(f, leaf, depth)
+        na = rebuild_term(a, leaf, depth)
         return t if nf is f and na is a else App(nf, na)
     if ty is Lam:
         b = t.body
-        nb = close_term(b, name, depth + 1)
+        nb = rebuild_term(b, leaf, depth + 1)
         return t if nb is b else Lam(t.hint, nb)
-    if ty is Var:
-        return Bound(depth) if t.name == name else t
-    if ty is Bound:
-        return t
+    if ty is Var or ty is Bound:
+        return leaf(t, depth)
     raise TypeError(f"not a term: {t!r}")
+
+
+def close_term(t: Term, name: str, depth: int = 0) -> Term:
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+
+    def leaf(x: Term, d: int) -> Term:
+        return Bound(d) if type(x) is Var and x.name == name else x
+
+    return rebuild_term(t, leaf, depth)
 
 
 def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
     """Instantiate the outermost binder's index in `body` with `repl`."""
-    ty = type(body)
-    if ty is App:
-        f, a = body.fn, body.arg
-        nf = open_term(f, repl, depth)
-        na = open_term(a, repl, depth)
-        return body if nf is f and na is a else App(nf, na)
-    if ty is Lam:
-        b = body.body
-        nb = open_term(b, repl, depth + 1)
-        return body if nb is b else Lam(body.hint, nb)
-    if ty is Bound:
-        return repl if body.index == depth else body
-    if ty is Var:
-        return body
-    raise TypeError(f"not a term: {body!r}")
+
+    def leaf(x: Term, d: int) -> Term:
+        return repl if type(x) is Bound and x.index == d else x
+
+    return rebuild_term(body, leaf, depth)
 
 
 # The index primitives below sit on the reduction hot path, so they dispatch
@@ -220,16 +229,11 @@ def subst_term(replacement: Term, var: str, target: Term) -> Term:
 
 def subst_term_multi(sigma: dict[str, Term], target: Term) -> Term:
     """Simultaneous substitution of free term variables."""
-    match target:
-        case Var(n):
-            return sigma.get(n, target)
-        case Bound(_):
-            return target
-        case Lam(h, b):
-            return Lam(h, subst_term_multi(sigma, b))
-        case App(f, a):
-            return App(subst_term_multi(sigma, f), subst_term_multi(sigma, a))
-    raise TypeError(f"not a term: {target!r}")
+
+    def leaf(x: Term, d: int) -> Term:
+        return sigma.get(x.name, x) if type(x) is Var else x
+
+    return rebuild_term(target, leaf)
 
 
 def term_size(t: Term) -> int:
@@ -305,50 +309,49 @@ def all_(name: str, body: RelType) -> All:
     return All(name, close_type(body, name))
 
 
-def close_type(r: RelType, name: str, depth: int = 0) -> RelType:
-    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+def rebuild_type(r: RelType, leaf: Callable[[RelType, int], RelType], depth: int = 0) -> RelType:
+    """Rebuild `r` with each `TVar`, `TBound` or `Promote` leaf `x` replaced by `leaf(x, d)`.
+
+    `d` is `depth` plus the number of `all` binders between `r` and the leaf.
+    A subterm the rebuild leaves unchanged is returned as the same object. A
+    promoted term holds no type variable, so the rebuild does not enter it;
+    only a leaf function that substitutes term names looks inside.
+    """
     ty = type(r)
     if ty is Arrow or ty is Comp:
         x, y = (r.dom, r.cod) if ty is Arrow else (r.left, r.right)
-        nx = close_type(x, name, depth)
-        ny = close_type(y, name, depth)
+        nx = rebuild_type(x, leaf, depth)
+        ny = rebuild_type(y, leaf, depth)
         return r if nx is x and ny is y else ty(nx, ny)
     if ty is All:
         b = r.body
-        nb = close_type(b, name, depth + 1)
+        nb = rebuild_type(b, leaf, depth + 1)
         return r if nb is b else All(r.hint, nb)
     if ty is Conv:
         x = r.rel
-        nx = close_type(x, name, depth)
+        nx = rebuild_type(x, leaf, depth)
         return r if nx is x else Conv(nx)
-    if ty is TVar:
-        return TBound(depth) if r.name == name else r
-    if ty is TBound or ty is Promote:  # terms contain no type variables
-        return r
+    if ty is TVar or ty is TBound or ty is Promote:
+        return leaf(r, depth)
     raise TypeError(f"not a type: {r!r}")
+
+
+def close_type(r: RelType, name: str, depth: int = 0) -> RelType:
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+
+    def leaf(x: RelType, d: int) -> RelType:
+        return TBound(d) if type(x) is TVar and x.name == name else x
+
+    return rebuild_type(r, leaf, depth)
 
 
 def open_type(body: RelType, repl: RelType, depth: int = 0) -> RelType:
     """Instantiate the outermost binder's index in `body` with `repl`."""
-    ty = type(body)
-    if ty is Arrow or ty is Comp:
-        x, y = (body.dom, body.cod) if ty is Arrow else (body.left, body.right)
-        nx = open_type(x, repl, depth)
-        ny = open_type(y, repl, depth)
-        return body if nx is x and ny is y else ty(nx, ny)
-    if ty is All:
-        b = body.body
-        nb = open_type(b, repl, depth + 1)
-        return body if nb is b else All(body.hint, nb)
-    if ty is Conv:
-        x = body.rel
-        nx = open_type(x, repl, depth)
-        return body if nx is x else Conv(nx)
-    if ty is TBound:
-        return repl if body.index == depth else body
-    if ty is TVar or ty is Promote:
-        return body
-    raise TypeError(f"not a type: {body!r}")
+
+    def leaf(x: RelType, d: int) -> RelType:
+        return repl if type(x) is TBound and x.index == d else x
+
+    return rebuild_type(body, leaf, depth)
 
 
 def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:
@@ -358,40 +361,23 @@ def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:
 
 def subst_tvars(sigma: dict[str, RelType], target: RelType) -> RelType:
     """Simultaneous substitution of free type variables."""
-    match target:
-        case TVar(n):
-            return sigma.get(n, target)
-        case TBound(_):
-            return target
-        case Arrow(d, c):
-            return Arrow(subst_tvars(sigma, d), subst_tvars(sigma, c))
-        case All(h, b):
-            return All(h, subst_tvars(sigma, b))
-        case Conv(x):
-            return Conv(subst_tvars(sigma, x))
-        case Comp(l, r):
-            return Comp(subst_tvars(sigma, l), subst_tvars(sigma, r))
-        case Promote(_):
-            return target
-    raise TypeError(f"not a type: {target!r}")
+
+    def leaf(x: RelType, d: int) -> RelType:
+        return sigma.get(x.name, x) if type(x) is TVar else x
+
+    return rebuild_type(target, leaf)
 
 
 def subst_terms_in_type(sigma: dict[str, Term], target: RelType) -> RelType:
     """Simultaneously substitute free term variables inside promoted terms."""
-    match target:
-        case TVar(_) | TBound(_):
-            return target
-        case Arrow(d, c):
-            return Arrow(subst_terms_in_type(sigma, d), subst_terms_in_type(sigma, c))
-        case All(h, b):
-            return All(h, subst_terms_in_type(sigma, b))
-        case Conv(x):
-            return Conv(subst_terms_in_type(sigma, x))
-        case Comp(l, r):
-            return Comp(subst_terms_in_type(sigma, l), subst_terms_in_type(sigma, r))
-        case Promote(t):
-            return Promote(subst_term_multi(sigma, t))
-    raise TypeError(f"not a type: {target!r}")
+
+    def leaf(x: RelType, d: int) -> RelType:
+        if type(x) is not Promote:
+            return x
+        t = subst_term_multi(sigma, x.term)
+        return x if t is x.term else Promote(t)
+
+    return rebuild_type(target, leaf)
 
 
 def type_size(r: RelType) -> int:

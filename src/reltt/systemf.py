@@ -19,9 +19,7 @@ manufactures a new proof whose judgment relates the erasure to its dotted
 copy at the projected type.
 
 System F types are not a syntax of their own: they are the relational types
-that `is_f_type` accepts (type variables, arrows and universals only), and
-`FType`, `FTVar`, `FArrow`, `FAll` and `fall` are aliases for those
-constructors.
+that `is_f_type` accepts (type variables, arrows and universals only).
 
 The dotted copy uses the reserved `_dot` name suffix. Surface scripts cannot
 mention such names, which is what makes the renaming an injection into
@@ -94,15 +92,6 @@ def is_dotted(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Aliases that keep F-side code reading as System F (see the module docstring).
-FType = RelType
-FTVar = TVar
-FTBound = TBound
-FArrow = Arrow
-FAll = All
-fall = all_
-
-
 def is_f_type(r: RelType) -> bool:
     """Whether r is a System F type: no converse, composition or promotion."""
     match r:
@@ -117,7 +106,7 @@ def is_f_type(r: RelType) -> bool:
     raise TypeError(f"not a type: {r!r}")
 
 
-def rename_ftvars(t: FType, mapping: dict[str, str]) -> FType:
+def rename_ftvars(t: RelType, mapping: dict[str, str]) -> RelType:
     return subst_tvars({old: TVar(new) for old, new in mapping.items()}, t)
 
 
@@ -138,7 +127,7 @@ class DVar(FDerivation):
 @dataclass(frozen=True)
 class DAbs(FDerivation):
     binder: str
-    ann: FType
+    ann: RelType
     body: FDerivation
 
 
@@ -156,11 +145,11 @@ class DGen(FDerivation):
 
 @dataclass(frozen=True)
 class DInst(FDerivation):
-    arg: FType
+    arg: RelType
     body: FDerivation
 
 
-FContext = tuple[tuple[str, FType], ...]
+FContext = tuple[tuple[str, RelType], ...]
 
 RULE_MISMATCH = "rule-mismatch"
 UNBOUND_VARIABLE = "unbound-variable"
@@ -176,7 +165,7 @@ class FError(Exception):
         self.message = message
 
 
-def _fctx_lookup(delta: FContext, name: str) -> FType | None:
+def _fctx_lookup(delta: FContext, name: str) -> RelType | None:
     for n, t in delta:
         if n == name:
             return t
@@ -187,12 +176,12 @@ def _fctx_ftvars(delta: FContext) -> set[str]:
     return free_type_vars([t for _, t in delta])
 
 
-def _require_f_type(t: FType, what: str) -> None:
+def _require_f_type(t: RelType, what: str) -> None:
     if not is_f_type(t):
         raise FError(RULE_MISMATCH, f"{what} is not a System F type")
 
 
-def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
+def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
     """Check an explicit derivation rule by rule; return (subject, type)."""
     names = [n for n, _ in delta]
     if len(set(names)) != len(names):
@@ -202,7 +191,7 @@ def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
     return _validate(delta, d)
 
 
-def _validate(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
+def _validate(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
     match d:
         case DVar(name):
             t = _fctx_lookup(delta, name)
@@ -216,10 +205,10 @@ def _validate(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
                 )
             _require_f_type(ann, f"the annotation of '{binder}'")
             t, ty = _validate(delta + ((binder, ann),), body)
-            return lam(binder, t), FArrow(ann, ty)
+            return lam(binder, t), Arrow(ann, ty)
         case DApp(fn, arg):
             tf, tyf = _validate(delta, fn)
-            if not isinstance(tyf, FArrow):
+            if not isinstance(tyf, Arrow):
                 raise FError(RULE_MISMATCH, "application head is not an arrow")
             ta, tya = _validate(delta, arg)
             if tya != tyf.dom:
@@ -232,11 +221,11 @@ def _validate(delta: FContext, d: FDerivation) -> tuple[Term, FType]:
                     f"generalized variable '{tvar}' occurs free in the context",
                 )
             t, ty = _validate(delta, body)
-            return t, fall(tvar, ty)
+            return t, all_(tvar, ty)
         case DInst(arg, body):
             _require_f_type(arg, "the instantiation argument")
             t, ty = _validate(delta, body)
-            if not isinstance(ty, FAll):
+            if not isinstance(ty, All):
                 raise FError(RULE_MISMATCH, "instantiation head is not universal")
             return t, open_type(ty.body, arg)
     raise TypeError(f"not an F derivation: {d!r}")
@@ -291,32 +280,32 @@ def erase_proof(p: Proof) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def project_type(r: RelType) -> FType:
+def project_type(r: RelType) -> RelType:
     """Relational type down to System F: converses vanish, promotions become
     the identity type, compositions become the Church product."""
     match r:
         case TVar(n):
-            return FTVar(n)
+            return TVar(n)
         case TBound(_):
             raise ValueError("project_type expects a locally closed type")
         case Arrow(d, c):
-            return FArrow(project_type(d), project_type(c))
+            return Arrow(project_type(d), project_type(c))
         case All(h, b):
             x = fresh(h or "X", free_vars(r)[1])
             inner = project_type(open_type(b, TVar(x)))
-            return FAll(h, close_type(inner, x))
+            return All(h, close_type(inner, x))
         case Conv(inner):
             return project_type(inner)
         case Comp(l, rr):
             a = project_type(l)
             b = project_type(rr)
             z = fresh("Z", free_type_vars((a, b)))
-            return FAll(
+            return All(
                 "Z",
-                close_type(FArrow(FArrow(a, FArrow(b, FTVar(z))), FTVar(z)), z),
+                close_type(Arrow(Arrow(a, Arrow(b, TVar(z))), TVar(z)), z),
             )
         case Promote(_):
-            return fall("X", FArrow(FTVar("X"), FTVar("X")))
+            return all_("X", Arrow(TVar("X"), TVar("X")))
     raise TypeError(f"not a type: {r!r}")
 
 
@@ -324,7 +313,7 @@ def project_ctx(ctx: Context) -> FContext:
     return tuple((e.pvar, project_type(e.rel)) for e in ctx)
 
 
-def rel_of_ftype(t: FType) -> RelType:
+def rel_of_ftype(t: RelType) -> RelType:
     """The identity, since F types already are relational types. Kept only
     because the benchmark worker (`perfbench/worker.py`) and the tests call
     it."""
@@ -394,10 +383,10 @@ def _identity_derivation(delta: FContext) -> FDerivation:
     """gen X. abs x:X. x, concluding the identity at its universal type."""
     x_ty = fresh("X", _fctx_ftvars(delta))
     x_tm = fresh("x", {n for n, _ in delta})
-    return DGen(x_ty, DAbs(x_tm, FTVar(x_ty), DVar(x_tm)))
+    return DGen(x_ty, DAbs(x_tm, TVar(x_ty), DVar(x_tm)))
 
 
-def _pair_derivation(delta: FContext, a: FType, b: FType) -> FDerivation:
+def _pair_derivation(delta: FContext, a: RelType, b: RelType) -> FDerivation:
     """The Church pair constructor typed at A -> B -> (A x B)."""
     names = {n for n, _ in delta}
     x = fresh("x", names)
@@ -414,7 +403,7 @@ def _pair_derivation(delta: FContext, a: FType, b: FType) -> FDerivation:
                 z,
                 DAbs(
                     c,
-                    FArrow(a, FArrow(b, FTVar(z))),
+                    Arrow(a, Arrow(b, TVar(z))),
                     DApp(DApp(DVar(c), DVar(x)), DVar(y)),
                 ),
             ),
@@ -527,7 +516,7 @@ def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
 
 
 def weaken_f(
-    d: FDerivation, insert: tuple[str, FType], at: int, delta: FContext = ()
+    d: FDerivation, insert: tuple[str, RelType], at: int, delta: FContext = ()
 ) -> FDerivation:
     """Re-derive under delta widened with `insert` at position `at`.
 

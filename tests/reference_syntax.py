@@ -1,0 +1,160 @@
+"""The seven hand-written rebuilds that `rebuild_term` and `rebuild_type` replaced.
+
+A test oracle only, kept verbatim: each function walks its syntax family on
+its own. `test_syntax` checks the views of the two rebuilds against them on
+seeded random terms and types, hints included.
+"""
+
+from __future__ import annotations
+
+from reltt.syntax import (
+    All,
+    App,
+    Arrow,
+    Bound,
+    Comp,
+    Conv,
+    Lam,
+    Promote,
+    RelType,
+    TBound,
+    Term,
+    TVar,
+    Var,
+)
+
+
+def close_term(t: Term, name: str, depth: int = 0) -> Term:
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+    ty = type(t)
+    if ty is App:
+        f, a = t.fn, t.arg
+        nf = close_term(f, name, depth)
+        na = close_term(a, name, depth)
+        return t if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        b = t.body
+        nb = close_term(b, name, depth + 1)
+        return t if nb is b else Lam(t.hint, nb)
+    if ty is Var:
+        return Bound(depth) if t.name == name else t
+    if ty is Bound:
+        return t
+    raise TypeError(f"not a term: {t!r}")
+
+
+def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
+    """Instantiate the outermost binder's index in `body` with `repl`."""
+    ty = type(body)
+    if ty is App:
+        f, a = body.fn, body.arg
+        nf = open_term(f, repl, depth)
+        na = open_term(a, repl, depth)
+        return body if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        b = body.body
+        nb = open_term(b, repl, depth + 1)
+        return body if nb is b else Lam(body.hint, nb)
+    if ty is Bound:
+        return repl if body.index == depth else body
+    if ty is Var:
+        return body
+    raise TypeError(f"not a term: {body!r}")
+
+
+def subst_term_multi(sigma: dict[str, Term], target: Term) -> Term:
+    """Simultaneous substitution of free term variables."""
+    match target:
+        case Var(n):
+            return sigma.get(n, target)
+        case Bound(_):
+            return target
+        case Lam(h, b):
+            return Lam(h, subst_term_multi(sigma, b))
+        case App(f, a):
+            return App(subst_term_multi(sigma, f), subst_term_multi(sigma, a))
+    raise TypeError(f"not a term: {target!r}")
+
+
+def close_type(r: RelType, name: str, depth: int = 0) -> RelType:
+    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+    ty = type(r)
+    if ty is Arrow or ty is Comp:
+        x, y = (r.dom, r.cod) if ty is Arrow else (r.left, r.right)
+        nx = close_type(x, name, depth)
+        ny = close_type(y, name, depth)
+        return r if nx is x and ny is y else ty(nx, ny)
+    if ty is All:
+        b = r.body
+        nb = close_type(b, name, depth + 1)
+        return r if nb is b else All(r.hint, nb)
+    if ty is Conv:
+        x = r.rel
+        nx = close_type(x, name, depth)
+        return r if nx is x else Conv(nx)
+    if ty is TVar:
+        return TBound(depth) if r.name == name else r
+    if ty is TBound or ty is Promote:  # terms contain no type variables
+        return r
+    raise TypeError(f"not a type: {r!r}")
+
+
+def open_type(body: RelType, repl: RelType, depth: int = 0) -> RelType:
+    """Instantiate the outermost binder's index in `body` with `repl`."""
+    ty = type(body)
+    if ty is Arrow or ty is Comp:
+        x, y = (body.dom, body.cod) if ty is Arrow else (body.left, body.right)
+        nx = open_type(x, repl, depth)
+        ny = open_type(y, repl, depth)
+        return body if nx is x and ny is y else ty(nx, ny)
+    if ty is All:
+        b = body.body
+        nb = open_type(b, repl, depth + 1)
+        return body if nb is b else All(body.hint, nb)
+    if ty is Conv:
+        x = body.rel
+        nx = open_type(x, repl, depth)
+        return body if nx is x else Conv(nx)
+    if ty is TBound:
+        return repl if body.index == depth else body
+    if ty is TVar or ty is Promote:
+        return body
+    raise TypeError(f"not a type: {body!r}")
+
+
+def subst_tvars(sigma: dict[str, RelType], target: RelType) -> RelType:
+    """Simultaneous substitution of free type variables."""
+    match target:
+        case TVar(n):
+            return sigma.get(n, target)
+        case TBound(_):
+            return target
+        case Arrow(d, c):
+            return Arrow(subst_tvars(sigma, d), subst_tvars(sigma, c))
+        case All(h, b):
+            return All(h, subst_tvars(sigma, b))
+        case Conv(x):
+            return Conv(subst_tvars(sigma, x))
+        case Comp(l, r):
+            return Comp(subst_tvars(sigma, l), subst_tvars(sigma, r))
+        case Promote(_):
+            return target
+    raise TypeError(f"not a type: {target!r}")
+
+
+def subst_terms_in_type(sigma: dict[str, Term], target: RelType) -> RelType:
+    """Simultaneously substitute free term variables inside promoted terms."""
+    match target:
+        case TVar(_) | TBound(_):
+            return target
+        case Arrow(d, c):
+            return Arrow(subst_terms_in_type(sigma, d), subst_terms_in_type(sigma, c))
+        case All(h, b):
+            return All(h, subst_terms_in_type(sigma, b))
+        case Conv(x):
+            return Conv(subst_terms_in_type(sigma, x))
+        case Comp(l, r):
+            return Comp(subst_terms_in_type(sigma, l), subst_terms_in_type(sigma, r))
+        case Promote(t):
+            return Promote(subst_term_multi(sigma, t))
+    raise TypeError(f"not a type: {target!r}")

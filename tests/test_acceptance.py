@@ -48,8 +48,6 @@ from reltt.syntax import (
     type_size,
 )
 from reltt.systemf import (
-    FArrow,
-    FTVar,
     embed_f,
     erase_proof,
     project_ctx,
@@ -169,13 +167,13 @@ def test_criterion_04_fmap_table():
     for r, p in table:
         subject, ftype = validate_f((), gen_fmap_deriv("X", r, p))
         assert alpha_eq(subject, gen_fmap("X", r))
-        step = FArrow(FTVar("Xp"), FTVar("Xm"))
+        step = Arrow(TVar("Xp"), TVar("Xm"))
         lhs = rename_ftvars(project_type(r), {"X": "Xp"})
         rhs = rename_ftvars(project_type(r), {"X": "Xm"})
         if p == PLUS:
-            assert ftype == FArrow(step, FArrow(lhs, rhs))
+            assert ftype == Arrow(step, Arrow(lhs, rhs))
         else:
-            assert ftype == FArrow(step, FArrow(rhs, lhs))
+            assert ftype == Arrow(step, Arrow(rhs, lhs))
 
 
 def test_criterion_05_datatype_pipeline():
@@ -186,13 +184,13 @@ def test_criterion_05_datatype_pipeline():
     unrolled = project_type(
         subst_tvar(rel_of_ftype(nat_f), "X", rel_of_ftype(project_type(ONE_PLUS_X)))
     )
-    assert ftype == FArrow(unrolled, nat_f)
+    assert ftype == Arrow(unrolled, nat_f)
 
     lib = stdlib()
     declared = {
         "zero": nat_f,
-        "succ": FArrow(nat_f, nat_f),
-        "add": FArrow(nat_f, FArrow(nat_f, nat_f)),
+        "succ": Arrow(nat_f, nat_f),
+        "add": Arrow(nat_f, Arrow(nat_f, nat_f)),
     }
     for name, want in declared.items():
         entry = lib[name]

@@ -60,8 +60,6 @@ from reltt.syntax import (
     subst_tvar,
 )
 from reltt.systemf import (
-    FArrow,
-    FTVar,
     project_type,
     rel_of_ftype,
     rename_ftvars,
@@ -163,13 +161,13 @@ def test_fmap_derivation_concludes_the_map_lemma(r, p):
     subject, ftype = validate_f((), deriv)
     assert alpha_eq(subject, gen_fmap("X", r))
     proj = project_type(r)
-    step = FArrow(FTVar("Xp"), FTVar("Xm"))
+    step = Arrow(TVar("Xp"), TVar("Xm"))
     lhs = rename_ftvars(proj, {"X": "Xp"})
     rhs = rename_ftvars(proj, {"X": "Xm"})
     if p == PLUS:
-        assert ftype == FArrow(step, FArrow(lhs, rhs))
+        assert ftype == Arrow(step, Arrow(lhs, rhs))
     else:
-        assert ftype == FArrow(step, FArrow(rhs, lhs))
+        assert ftype == Arrow(step, Arrow(rhs, lhs))
 
 
 def test_in_derivation_concludes_the_constructor_type():
@@ -178,7 +176,7 @@ def test_in_derivation_concludes_the_constructor_type():
     assert alpha_eq(subject, gen_in("X", ONE_PLUS_X))
     nat_f = dparam_ftype("X", ONE_PLUS_X)
     unrolled = subst_tvar(rel_of_ftype(nat_f), "X", rel_of_ftype(project_type(ONE_PLUS_X)))
-    assert ftype == FArrow(project_type(unrolled), nat_f)
+    assert ftype == Arrow(project_type(unrolled), nat_f)
 
 
 def test_fold_derivation_validates():

@@ -16,7 +16,7 @@ from reltt.script import (
     run_script,
 )
 from reltt.surface import parse
-from reltt.syntax import Arrow, TVar, Var, lam
+from reltt.syntax import Arrow, Promote, TVar, Var, lam
 
 IDENTITY_PROOF = "proof {name} : [u : a [R] b] |- a [R] b := u"
 
@@ -260,6 +260,18 @@ def test_type_definitions_are_fixed_when_defined():
     assert res.ok
     assert res.env.types["A"] == Arrow(TVar("X"), TVar("X"))
     assert res.checked[0].judgment.rel == Arrow(TVar("X"), TVar("X"))
+
+
+def test_a_later_def_does_not_reach_into_an_earlier_type(tmp_path, capsys):
+    source = "type A := {f}\ndef f := \\x. x\nproof p : [u : a [A] b] |- a [A] b := u\n"
+    res = run(source)
+    assert res.ok
+    assert res.env.types["A"] == Promote(Var("f"))
+    assert res.checked[0].judgment.rel == Promote(Var("f"))
+    f = tmp_path / "later.rtt"
+    f.write_text(source)
+    assert main(["check", "--no-prelude", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{f}:3:1: proof p: a [{{f}}] b\n"
 
 
 def test_cli_analyze_reports_redefinitions_like_check(tmp_path, capsys):

@@ -6,7 +6,15 @@ import random
 
 from hypothesis import given
 
-from generators import random_scoped_term, term_strategy, type_strategy
+import reference_syntax as reference
+from generators import (
+    TERM_NAMES,
+    TYPE_NAMES,
+    random_scoped_term,
+    random_scoped_type,
+    term_strategy,
+    type_strategy,
+)
 from reltt.syntax import (
     App,
     Arrow,
@@ -16,6 +24,7 @@ from reltt.syntax import (
     Judgment,
     Lam,
     Promote,
+    TBound,
     TVar,
     Var,
     all_,
@@ -257,3 +266,65 @@ def test_alpha_eq_agrees_with_structural_equality():
     assert alpha_eq(Promote(x), Promote(y)) and not alpha_eq(Promote(x), Promote(K))
     assert alpha_eq(Judgment(x, TVar("R"), y), Judgment(y, TVar("R"), x))
     assert not alpha_eq(x, Promote(x)) and not alpha_eq(Var("x"), TVar("x"))
+
+
+def _sigma(keys, make, var):
+    """A substitution map on `keys`; no name is mapped to its own `var(name)`."""
+    sigma = {}
+    for key in keys:
+        v = make()
+        while v == var(key):
+            v = make()
+        sigma[key] = v
+    return sigma
+
+
+def test_rebuild_views_match_the_hand_written_walkers():
+    # Close, open and substitution as views of `rebuild_term`/`rebuild_type`
+    # against the walkers they replaced, on terms and types with dangling
+    # indices, shared subterms and empty or clashing hints. The output must
+    # match hints included, and a result equal to its input must be the
+    # input object itself.
+    rng = random.Random(9090)
+    counts = {"same": 0, "changed": 0}
+
+    def agree(got, want, given):
+        assert repr(got) == repr(want), (given, got, want)
+        if got == given:
+            assert got is given, given
+            counts["same"] += 1
+        else:
+            counts["changed"] += 1
+
+    def some_term():
+        return random_scoped_term(rng, rng.randint(1, 6), rng.randrange(3))
+
+    def some_type():
+        return random_scoped_type(rng, rng.randint(1, 6), rng.randrange(3))
+
+    for _ in range(300):
+        t = random_scoped_term(rng, rng.randint(1, 16), rng.randrange(3), [])
+        r = random_scoped_type(rng, rng.randint(1, 16), rng.randrange(3), [])
+        for depth in range(4):
+            name = rng.choice(TERM_NAMES)
+            agree(close_term(t, name, depth), reference.close_term(t, name, depth), t)
+            repl = some_term()
+            while type(repl) is Bound:  # an index would be equal to one it replaces
+                repl = some_term()
+            agree(open_term(t, repl, depth), reference.open_term(t, repl, depth), t)
+            tname = rng.choice(TYPE_NAMES)
+            agree(close_type(r, tname, depth), reference.close_type(r, tname, depth), r)
+            trepl = some_type()
+            while type(trepl) is TBound:
+                trepl = some_type()
+            agree(open_type(r, trepl, depth), reference.open_type(r, trepl, depth), r)
+        present = sorted(free_term_vars(t) | free_term_vars(r))
+        tpresent = sorted(free_type_vars(r))
+        for keys in (present, ["absent"], present[:1] + ["absent"]):
+            sigma = _sigma(keys, some_term, Var)
+            agree(subst_term_multi(sigma, t), reference.subst_term_multi(sigma, t), t)
+            agree(subst_terms_in_type(sigma, r), reference.subst_terms_in_type(sigma, r), r)
+        for keys in (tpresent, ["Absent"], tpresent[:1] + ["Absent"]):
+            sigma = _sigma(keys, some_type, TVar)
+            agree(subst_tvars(sigma, r), reference.subst_tvars(sigma, r), r)
+    assert counts["same"] > 4000 and counts["changed"] > 1000, counts

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 
 from generators import type_strategy
-from reltt import syntax, systemf
 from reltt.kernel import (
     PApp,
     PConv,
@@ -43,13 +42,10 @@ from reltt.systemf import (
     DGen,
     DInst,
     DVar,
-    FArrow,
     FError,
-    FTVar,
     dot_name,
     embed_f,
     erase_proof,
-    fall,
     identity_term,
     is_dotted,
     is_f_type,
@@ -63,10 +59,10 @@ from reltt.systemf import (
 )
 
 R = TVar("R")
-F_IDENT = fall("X", FArrow(FTVar("X"), FTVar("X")))
-F_BOOL = fall("X", FArrow(FTVar("X"), FArrow(FTVar("X"), FTVar("X"))))
-D_IDENT = DGen("X", DAbs("x", FTVar("X"), DVar("x")))
-D_TT = DGen("A", DAbs("x", FTVar("A"), DAbs("y", FTVar("A"), DVar("x"))))
+F_IDENT = all_("X", Arrow(TVar("X"), TVar("X")))
+F_BOOL = all_("X", Arrow(TVar("X"), Arrow(TVar("X"), TVar("X"))))
+D_IDENT = DGen("X", DAbs("x", TVar("X"), DVar("x")))
+D_TT = DGen("A", DAbs("x", TVar("A"), DAbs("y", TVar("A"), DVar("x"))))
 
 
 def test_dotted_names():
@@ -81,7 +77,7 @@ def test_validate_identity_derivation():
 
 
 def test_validate_rejects_shadowing_binders():
-    nested = DAbs("x", FTVar("A"), DAbs("x", FTVar("A"), DVar("x")))
+    nested = DAbs("x", TVar("A"), DAbs("x", TVar("A"), DVar("x")))
     with pytest.raises(FError) as e:
         validate_f((), nested)
     assert e.value.kind == F_FRESHNESS_VIOLATION
@@ -142,10 +138,10 @@ def test_erasure_commutes_with_proof_variable_renaming():
 
 def test_project_type_examples():
     assert project_type(Promote(Var("t"))) == F_IDENT
-    assert project_type(Conv(R)) == FTVar("R")
+    assert project_type(Conv(R)) == TVar("R")
     comp = project_type(Comp(TVar("A"), TVar("B")))
-    a, b = FTVar("A"), FTVar("B")
-    assert comp == fall("Z", FArrow(FArrow(a, FArrow(b, FTVar("Z"))), FTVar("Z")))
+    a, b = TVar("A"), TVar("B")
+    assert comp == all_("Z", Arrow(Arrow(a, Arrow(b, TVar("Z"))), TVar("Z")))
     assert project_type(all_("X", Arrow(TVar("X"), TVar("X")))) == F_IDENT
 
 
@@ -173,7 +169,7 @@ def test_embed_closed_subject_relates_alpha_equal_sides():
 
 
 def test_embed_open_subject_uses_the_dotted_copy():
-    delta = (("x", FTVar("A")),)
+    delta = (("x", TVar("A")),)
     ctx, proof = embed_f(delta, DVar("x"))
     j = check(ctx, proof)
     assert j.left == Var("x")
@@ -181,7 +177,7 @@ def test_embed_open_subject_uses_the_dotted_copy():
 
 
 def test_embed_rejects_dotted_source_names():
-    delta = (("x_dot", FTVar("A")),)
+    delta = (("x_dot", TVar("A")),)
     with pytest.raises(FError) as e:
         embed_f(delta, DVar("x_dot"))
     assert e.value.kind == DOTTED_COLLISION
@@ -217,11 +213,6 @@ def test_composition_projection_validates_pairing():
 
 
 def test_f_types_are_relational_types():
-    assert systemf.FType is syntax.RelType
-    assert systemf.FTVar is syntax.TVar
-    assert systemf.FTBound is syntax.TBound
-    assert systemf.FArrow is syntax.Arrow
-    assert systemf.FAll is syntax.All
     assert F_IDENT == all_("X", Arrow(TVar("X"), TVar("X")))
     assert is_f_type(F_BOOL)
     for r in (Conv(R), Comp(R, R), Promote(Var("t")), Arrow(R, all_("X", Conv(TVar("X"))))):
