@@ -8,13 +8,16 @@ substitution needs no renaming.
 
 Every term or type handed across a public API is locally closed (no dangling
 indices). Code that needs to look under a binder opens it with a fresh free
-variable and closes again afterwards. There are two exceptions. Reduction
+variable and closes again afterwards. There are three exceptions. Reduction
 steps under binders without opening them, using `shift_term`, `subst_bound`
 and `bound_occurs`. The renderer (`surface.render_term`, `render_type`)
 never opens a body: it prints an index as the name it chose for that
-binder, from an environment of the names chosen so far.
+binder, from an environment of the names chosen so far. The parser's term
+binders and the System F bridge (`systemf.project_type`, `validate_f`,
+`erase_proof`) resolve a binder through a scope of name to level as they
+walk, so each builds every binder once.
 
-Apart from those two, the binder machinery is one structural rebuild per
+Apart from those, the binder machinery is one structural rebuild per
 syntax family: `rebuild_term` for terms and `rebuild_type` for types. Each
 walks to the leaves, counts the binders it passes, and hands every leaf with
 that depth to a leaf function; a subterm that comes back unchanged is reused
@@ -443,40 +446,39 @@ def free_vars(e) -> tuple[set[str], set[str]]:
 
 
 def _collect(e, terms: set[str], types: set[str]) -> None:
-    match e:
-        case Var(n):
-            terms.add(n)
-        case Bound(_) | TBound(_):
-            pass
-        case Lam(_, b):
-            _collect(b, terms, types)
-        case App(f, a):
-            _collect(f, terms, types)
-            _collect(a, terms, types)
-        case TVar(n):
-            types.add(n)
-        case Arrow(d, c) | Comp(d, c):
-            _collect(d, terms, types)
-            _collect(c, terms, types)
-        case All(_, b):
-            _collect(b, terms, types)
-        case Conv(x):
-            _collect(x, terms, types)
-        case Promote(t):
-            _collect(t, terms, types)
-        case ContextEntry(_, left, rel, right):
-            _collect(left, terms, types)
-            _collect(rel, terms, types)
-            _collect(right, terms, types)
-        case Judgment(left, rel, right):
-            _collect(left, terms, types)
-            _collect(rel, terms, types)
-            _collect(right, terms, types)
-        case tuple() | list():
-            for item in e:
-                _collect(item, terms, types)
-        case _:
-            raise TypeError(f"free_vars: unsupported {e!r}")
+    ty = type(e)
+    if ty is App:
+        _collect(e.fn, terms, types)
+        _collect(e.arg, terms, types)
+    elif ty is Var:
+        terms.add(e.name)
+    elif ty is Lam:
+        _collect(e.body, terms, types)
+    elif ty is Bound or ty is TBound:
+        pass
+    elif ty is TVar:
+        types.add(e.name)
+    elif ty is Arrow:
+        _collect(e.dom, terms, types)
+        _collect(e.cod, terms, types)
+    elif ty is All:
+        _collect(e.body, terms, types)
+    elif ty is Comp:
+        _collect(e.left, terms, types)
+        _collect(e.right, terms, types)
+    elif ty is Conv:
+        _collect(e.rel, terms, types)
+    elif ty is Promote:
+        _collect(e.term, terms, types)
+    elif ty is ContextEntry or ty is Judgment:
+        _collect(e.left, terms, types)
+        _collect(e.rel, terms, types)
+        _collect(e.right, terms, types)
+    elif isinstance(e, (tuple, list)):
+        for item in e:
+            _collect(item, terms, types)
+    else:
+        raise TypeError(f"free_vars: unsupported {e!r}")
 
 
 def free_term_vars(e) -> set[str]:

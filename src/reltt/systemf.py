@@ -21,6 +21,14 @@ copy at the projected type.
 System F types are not a syntax of their own: they are the relational types
 that `is_f_type` accepts (type variables, arrows and universals only).
 
+Every pass over a type, a proof or a derivation is one walk that never opens
+or closes a binder. `project_type` builds each projected subterm at its final
+depth and renumbers indices as a composition adds its `Z` binder.
+`erase_proof` and the validator resolve each binder through a scope of name to
+level, as the parser does, so a variable becomes its index where it is met
+and each `Lam` is built once. The embedding extends one environment and one
+avoid set in place and takes each binder's additions back afterwards.
+
 The dotted copy uses the reserved `_dot` name suffix. Surface scripts cannot
 mention such names, which is what makes the renaming an injection into
 untouched territory.
@@ -53,6 +61,7 @@ from .syntax import (
     All,
     App,
     Arrow,
+    Bound,
     Comp,
     Context,
     ContextEntry,
@@ -67,9 +76,7 @@ from .syntax import (
     Var,
     all_,
     alpha_eq,
-    close_type,
     free_type_vars,
-    free_vars,
     fresh,
     lam,
     open_type,
@@ -192,43 +199,70 @@ def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
 
 
 def _validate(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
-    match d:
-        case DVar(name):
-            t = _fctx_lookup(delta, name)
+    """The rules over `d` in one walk, with no `lam` closing a body.
+
+    A `DAbs` binder is resolved through a scope: `levels` maps its name to
+    its level and `anns[level]` holds its annotation, so a `DVar` it binds
+    becomes its index at once. `ftvars` holds the free type names of
+    `delta` and of the enclosing annotations, collected once at the root and
+    extended at each `DAbs`, for the `DGen` side condition.
+    """
+    declared = dict(delta)  # validate_f has rejected duplicate names
+    levels: dict[str, int] = {}
+    anns: list[RelType] = []
+
+    def go(d: FDerivation, ftvars: set[str]) -> tuple[Term, RelType]:
+        ty = type(d)
+        if ty is DVar:
+            name = d.name
+            level = levels.get(name)
+            if level is not None:
+                return Bound(len(anns) - 1 - level), anns[level]
+            t = declared.get(name)
             if t is None:
                 raise FError(UNBOUND_VARIABLE, f"'{name}' is not declared")
             return Var(name), t
-        case DAbs(binder, ann, body):
-            if _fctx_lookup(delta, binder) is not None:
+        if ty is DAbs:
+            binder, ann = d.binder, d.ann
+            if binder in levels or binder in declared:
                 raise FError(
                     F_FRESHNESS_VIOLATION, f"binder '{binder}' shadows a declared variable"
                 )
             _require_f_type(ann, f"the annotation of '{binder}'")
-            t, ty = _validate(delta + ((binder, ann),), body)
-            return lam(binder, t), Arrow(ann, ty)
-        case DApp(fn, arg):
-            tf, tyf = _validate(delta, fn)
+            ann_tvars = free_type_vars(ann)
+            levels[binder] = len(anns)
+            anns.append(ann)
+            t, body_ty = go(d.body, ftvars if ann_tvars <= ftvars else ftvars | ann_tvars)
+            anns.pop()
+            del levels[binder]
+            return Lam(binder, t), Arrow(ann, body_ty)
+        if ty is DApp:
+            tf, tyf = go(d.fn, ftvars)
             if not isinstance(tyf, Arrow):
                 raise FError(RULE_MISMATCH, "application head is not an arrow")
-            ta, tya = _validate(delta, arg)
+            ta, tya = go(d.arg, ftvars)
             if tya != tyf.dom:
                 raise FError(RULE_MISMATCH, "argument type differs from the arrow domain")
             return App(tf, ta), tyf.cod
-        case DGen(tvar, body):
-            if tvar in _fctx_ftvars(delta):
+        if ty is DGen:
+            tvar = d.tvar
+            if tvar in ftvars:
                 raise FError(
                     F_FRESHNESS_VIOLATION,
                     f"generalized variable '{tvar}' occurs free in the context",
                 )
-            t, ty = _validate(delta, body)
-            return t, all_(tvar, ty)
-        case DInst(arg, body):
+            t, body_ty = go(d.body, ftvars)
+            return t, all_(tvar, body_ty)
+        if ty is DInst:
+            arg = d.arg
             _require_f_type(arg, "the instantiation argument")
-            t, ty = _validate(delta, body)
-            if not isinstance(ty, All):
+            t, body_ty = go(d.body, ftvars)
+            if not isinstance(body_ty, All):
                 raise FError(RULE_MISMATCH, "instantiation head is not universal")
-            return t, open_type(ty.body, arg)
-    raise TypeError(f"not an F derivation: {d!r}")
+            return t, open_type(body_ty.body, arg)
+        raise TypeError(f"not an F derivation: {d!r}")
+
+    return go(d, _fctx_ftvars(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +282,57 @@ def pair_term() -> Term:
 
 
 def erase_proof(p: Proof) -> Term:
-    """The underlying lambda term of a proof; only proof variables survive."""
-    match p:
-        case PVar(u):
-            return Var(u)
-        case PLam(u, _, _, _, body):
-            return lam(u, erase_proof(body))
-        case PApp(fn, arg):
-            return App(erase_proof(fn), erase_proof(arg))
-        case PTyApp(fn, _):
-            return erase_proof(fn)
-        case PTyLam(_, body):
-            return erase_proof(body)
-        case PConv(_, body, _):
-            return erase_proof(body)
-        case PConvI(body) | PConvE(body):
-            return erase_proof(body)
-        case PIota(_, _):
-            return _IDENTITY
-        case PRho(_, _, _, _, body):
-            return erase_proof(body)
-        case PPair(left, right, _):
-            return App(App(_PAIR, erase_proof(left)), erase_proof(right))
-        case PPi(scrutinee, _, u, v, body):
-            return App(erase_proof(scrutinee), lam(u, lam(v, erase_proof(body))))
-    raise TypeError(f"not a proof: {p!r}")
+    """The underlying lambda term of a proof; only proof variables survive.
+
+    Proof binders are resolved through a scope of name to level, so a `PVar`
+    that one binds becomes its index at once and no `lam` closes a body. The
+    innermost binder of a name wins, as it would under `lam`: an unchecked
+    proof may rebind a name.
+    """
+    scope: dict[str, int] = {}
+
+    def under(names: tuple[str, ...], body: Proof, depth: int) -> Term:
+        """`Lam`s binding `names`, outermost first, around the erasure of `body`."""
+        if not names:
+            return go(body, depth)
+        name = names[0]
+        saved = scope.get(name)
+        scope[name] = depth
+        t = Lam(name, under(names[1:], body, depth + 1))
+        if saved is None:
+            del scope[name]
+        else:
+            scope[name] = saved
+        return t
+
+    def go(p: Proof, depth: int) -> Term:
+        match p:
+            case PVar(u):
+                level = scope.get(u)
+                return Var(u) if level is None else Bound(depth - 1 - level)
+            case PLam(u, _, _, _, body):
+                return under((u,), body, depth)
+            case PApp(fn, arg):
+                return App(go(fn, depth), go(arg, depth))
+            case PTyApp(fn, _):
+                return go(fn, depth)
+            case PTyLam(_, body):
+                return go(body, depth)
+            case PConv(_, body, _):
+                return go(body, depth)
+            case PConvI(body) | PConvE(body):
+                return go(body, depth)
+            case PIota(_, _):
+                return _IDENTITY
+            case PRho(_, _, _, _, body):
+                return go(body, depth)
+            case PPair(left, right, _):
+                return App(App(_PAIR, go(left, depth)), go(right, depth))
+            case PPi(scrutinee, _, u, v, body):
+                return App(go(scrutinee, depth), under((u, v), body, depth))
+        raise TypeError(f"not a proof: {p!r}")
+
+    return go(p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +340,55 @@ def erase_proof(p: Proof) -> Term:
 # ---------------------------------------------------------------------------
 
 
+# The projection of every promotion: all X. X -> X.
+_PROMOTION_F = All("X", Arrow(TBound(0), TBound(0)))
+
+
 def project_type(r: RelType) -> RelType:
     """Relational type down to System F: converses vanish, promotions become
-    the identity type, compositions become the Church product."""
-    match r:
-        case TVar(n):
-            return TVar(n)
-        case TBound(_):
-            raise ValueError("project_type expects a locally closed type")
-        case Arrow(d, c):
-            return Arrow(project_type(d), project_type(c))
-        case All(h, b):
-            x = fresh(h or "X", free_vars(r)[1])
-            inner = project_type(open_type(b, TVar(x)))
-            return All(h, close_type(inner, x))
-        case Conv(inner):
-            return project_type(inner)
-        case Comp(l, rr):
-            a = project_type(l)
-            b = project_type(rr)
-            z = fresh("Z", free_type_vars((a, b)))
-            return All(
-                "Z",
-                close_type(Arrow(Arrow(a, Arrow(b, TVar(z))), TVar(z)), z),
-            )
-        case Promote(_):
-            return all_("X", Arrow(TVar("X"), TVar("X")))
-    raise TypeError(f"not a type: {r!r}")
+    the identity type, compositions become the Church product.
+
+    One walk under binders, with no open or close: a composition becomes
+    `all Z. (A -> B -> Z) -> Z`, which puts its projected sides under one
+    more binder than their source, so the walk builds each subterm at its
+    final depth. `levels[k]` is the output level of the k-th enclosing source
+    `all` (outermost first) and `depth` counts the output binders, so the
+    source index `i` becomes `depth - 1 - levels[-1 - i]`. An index that
+    dangles out of `r` raises `ValueError`.
+    """
+    levels: list[int] = []
+
+    def go(r: RelType, depth: int) -> RelType:
+        ty = type(r)
+        if ty is Arrow:
+            d, c = r.dom, r.cod
+            nd, nc = go(d, depth), go(c, depth)
+            return r if nd is d and nc is c else Arrow(nd, nc)
+        if ty is TVar:
+            return r
+        if ty is All:
+            b = r.body
+            levels.append(depth)
+            nb = go(b, depth + 1)
+            levels.pop()
+            return r if nb is b else All(r.hint, nb)
+        if ty is TBound:
+            i = r.index
+            if i >= len(levels):
+                raise ValueError("project_type expects a locally closed type")
+            j = depth - 1 - levels[-1 - i]
+            return r if j == i else TBound(j)
+        if ty is Conv:
+            return go(r.rel, depth)
+        if ty is Comp:
+            a, b = go(r.left, depth + 1), go(r.right, depth + 1)
+            z = TBound(0)
+            return All("Z", Arrow(Arrow(a, Arrow(b, z)), z))
+        if ty is Promote:
+            return _PROMOTION_F
+        raise TypeError(f"not a type: {r!r}")
+
+    return go(r, 0)
 
 
 def project_ctx(ctx: Context) -> FContext:
@@ -338,8 +420,8 @@ def _project_node(delta: FContext, node: RelPfNode) -> FDerivation:
         case PVar(u):
             return DVar(u)
         case PLam(u, _, rel, _, _):
-            body = _project_node(delta + ((u, project_type(rel)),), node.children[0])
-            return DAbs(u, project_type(rel), body)
+            a = project_type(rel)
+            return DAbs(u, a, _project_node(delta + ((u, a),), node.children[0]))
         case PApp(_, _):
             return DApp(
                 _project_node(delta, node.children[0]),
@@ -486,21 +568,24 @@ def _require_undotted_deriv(d: FDerivation) -> None:
 
 
 def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
+    """`env` maps each F variable in scope to its proof variable and `avoid`
+    holds every name in use; a `DAbs` extends both for its body and takes its
+    additions back afterwards, so neither is copied."""
     match d:
         case DVar(name):
             return PVar(env[name])
         case DAbs(binder, ann, body):
-            u = fresh("u", avoid | {binder, dot_name(binder)})
-            inner_env = dict(env)
-            inner_env[binder] = u
-            inner_avoid = avoid | {u, binder, dot_name(binder)}
-            return PLam(
-                u,
-                binder,
-                ann,
-                dot_name(binder),
-                _embed(body, inner_env, inner_avoid),
-            )
+            dotted = dot_name(binder)
+            added = [n for n in (binder, dotted) if n not in avoid]
+            avoid.update(added)
+            u = fresh("u", avoid)
+            avoid.add(u)
+            added.append(u)
+            env[binder] = u  # validate_f has rejected a binder already in scope
+            proof = PLam(u, binder, ann, dotted, _embed(body, env, avoid))
+            del env[binder]
+            avoid.difference_update(added)
+            return proof
         case DApp(fn, arg):
             return PApp(_embed(fn, env, avoid), _embed(arg, env, avoid))
         case DGen(tvar, body):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from reltt import script
+from reltt import cli, script
 from reltt.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from reltt.script import (
     dump,
@@ -308,6 +308,21 @@ def test_cli_internal_error_is_one_line_and_exit_3(tmp_path, capsys, default_rec
     out = capsys.readouterr().out
     assert out.startswith("reltt: error[internal]: RecursionError: ")
     assert out.count("\n") == 1
+
+
+def test_cli_turns_any_internal_error_into_one_line_and_exit_3(tmp_path, capsys, monkeypatch):
+    # The guard itself, independent of which input can still exhaust the
+    # parser's recursion: a multi-line message is joined onto one line.
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded\nwhile checking")
+
+    monkeypatch.setattr(cli, "run_script", crash)
+    f = tmp_path / "ok.rtt"
+    f.write_text("def i := \\x. x\n")
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_INTERNAL
+    assert capsys.readouterr().out == (
+        "reltt: error[internal]: RecursionError: maximum recursion depth exceeded while checking\n"
+    )
 
 
 def test_cli_fuel_pragma_takes_decimal_digits_only(tmp_path, capsys):

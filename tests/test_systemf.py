@@ -2,30 +2,44 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
-from generators import type_strategy
+import reference_systemf as reference
+from generators import random_scoped_type, random_type, type_strategy
+from proof_tools import rename_binders
 from reltt.kernel import (
     PApp,
     PConv,
+    PConvE,
     PConvI,
     PIota,
     PLam,
     PPair,
+    PPi,
+    PRho,
     PTyApp,
     PTyLam,
     PVar,
     check,
 )
-from reltt.prelude import bool_discrimination
+from reltt.prelude import bool_discrimination, stdlib
+from reltt.script import prelude_env, run_script
+from reltt.surface import parse
 from reltt.syntax import (
+    All,
     App,
     Arrow,
+    Bound,
     Comp,
     ContextEntry,
     Conv,
+    Lam,
     Promote,
+    TBound,
     TVar,
     Var,
     all_,
@@ -39,6 +53,7 @@ from reltt.systemf import (
     RULE_MISMATCH,
     SHADOWING_VIOLATION,
     DAbs,
+    DApp,
     DGen,
     DInst,
     DVar,
@@ -57,6 +72,8 @@ from reltt.systemf import (
     validate_f,
     weaken_f,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 R = TVar("R")
 F_IDENT = all_("X", Arrow(TVar("X"), TVar("X")))
@@ -238,3 +255,185 @@ def test_validation_rejects_types_outside_system_f(delta, deriv):
         with pytest.raises(FError) as e:
             bridge(delta, deriv)
         assert e.value.kind == RULE_MISMATCH
+
+
+def test_project_type_shifts_the_sides_of_a_composition_under_a_binder():
+    x, b, z = TVar("X"), TVar("B"), TVar("Z")
+    got = project_type(all_("X", Comp(Conv(x), all_("Y", Arrow(TVar("Y"), x)))))
+    side = all_("Y", Arrow(TVar("Y"), x))
+    assert got == all_("X", all_("Z", Arrow(Arrow(x, Arrow(side, z)), z)))
+    assert repr(got) == repr(all_("X", project_type(Comp(x, side))))
+    nested = project_type(Comp(Comp(x, b), b))
+    assert nested == all_("Z", Arrow(Arrow(project_type(Comp(x, b)), Arrow(b, z)), z))
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        All("X", TBound(1)),
+        Comp(TBound(0), TVar("A")),
+        All("X", Comp(TVar("A"), All("Y", TBound(2)))),
+        Arrow(TVar("A"), Conv(TBound(0))),
+    ],
+    ids=["under-all", "in-composition", "composition-under-all", "under-converse"],
+)
+def test_project_type_rejects_a_dangling_index(r):
+    with pytest.raises(ValueError, match="locally closed"):
+        project_type(r)
+
+
+def test_erasure_keeps_shadowing_on_unchecked_proofs():
+    # \u. \u. u: the inner binder wins, as it would under `lam`.
+    shadowed = PLam("u", "a", R, "b", PLam("u", "x", R, "y", PVar("u")))
+    assert repr(erase_proof(shadowed)) == repr(Lam("u", Lam("u", Bound(0))))
+    outer = PLam("u", "a", R, "b", PLam("v", "x", R, "y", PApp(PVar("u"), PVar("v"))))
+    assert erase_proof(outer) == Lam("u", Lam("v", App(Bound(1), Bound(0))))
+    # A name bound on one side of an application is free on the other.
+    left = PApp(PLam("u", "x", R, "y", PVar("u")), PVar("u"))
+    assert erase_proof(left) == App(Lam("u", Bound(0)), Var("u"))
+    # A composition eliminator with equal proof binders: the right one wins.
+    pi = PPi(PVar("u"), "m", "u", "u", PApp(PVar("u"), PVar("w")))
+    assert erase_proof(pi) == App(Var("u"), Lam("u", Lam("u", App(Bound(0), Var("w")))))
+
+
+# ---------------------------------------------------------------------------
+# Differential sweep against tests/reference_systemf.py
+# ---------------------------------------------------------------------------
+
+
+def _outcome(f, *args):
+    """`repr` of the result (hints included), or the error's type and text."""
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return type(e).__name__, getattr(e, "kind", None), str(e)
+
+
+def _checked_proofs():
+    env = prelude_env().copy()
+    checked = list(env.proofs.values())
+    for path in sorted(CORPUS.glob("*.rtt")):
+        result = run_script(parse(path.read_text(encoding="utf-8")), env=env)
+        assert result.ok, path
+        checked.extend(result.checked)
+    return checked
+
+
+def test_bridge_matches_the_reference_bridge_on_the_library_and_the_corpus():
+    checked = _checked_proofs()
+    assert len(checked) == 17 + 29
+    for c in checked:
+        for proof in (c.proof, rename_binders(c.proof, "_rn")):
+            assert _outcome(erase_proof, proof) == _outcome(reference.erase_proof, proof)
+            delta = project_ctx(c.ctx)
+            assert repr(delta) == repr(reference.project_ctx(c.ctx))
+            deriv = project_derivation(c.ctx, proof, c.judgment, c.fuel)
+            want = reference.project_derivation(c.ctx, proof, c.judgment, c.fuel)
+            assert repr(deriv) == repr(want), c.name
+            for bridge, old in ((validate_f, reference.validate_f), (embed_f, reference.embed_f)):
+                assert _outcome(bridge, delta, deriv) == _outcome(old, delta, deriv), c.name
+    for name, entry in stdlib().items():
+        if entry.derivation is not None:
+            d = entry.derivation
+            assert _outcome(validate_f, (), d) == _outcome(reference.validate_f, (), d), name
+            assert _outcome(embed_f, (), d) == _outcome(reference.embed_f, (), d), name
+
+
+def test_project_type_matches_the_reference_on_random_types():
+    # Compositions under nested binders, converses, promotions, hints that
+    # clash with free names, and indices that dangle out of the whole type.
+    rng = random.Random(20261018)
+    pool = []
+    rejected = 0
+    for _ in range(1500):
+        r = random_scoped_type(rng, rng.randint(1, 24), 0, pool)
+        got = _outcome(project_type, r)
+        assert got == _outcome(reference.project_type, r), r
+        rejected += isinstance(got, tuple)
+        r = random_type(rng, rng.randint(1, 24))
+        assert repr(project_type(r)) == repr(reference.project_type(r)), r
+    assert 0 < rejected < 1500
+
+
+F_NAMES = ("x", "y", "u", "x_dot")
+F_TVARS = ("A", "X", "Y")
+
+
+def _random_f_type(rng: random.Random, size: int):
+    if size <= 1 or rng.random() < 0.3:
+        return TVar(rng.choice(F_TVARS))
+    roll = rng.random()
+    if roll < 0.5:
+        cut = rng.randint(1, size - 1)
+        return Arrow(_random_f_type(rng, cut), _random_f_type(rng, size - cut))
+    if roll < 0.95:
+        return all_(rng.choice(F_TVARS), _random_f_type(rng, size - 1))
+    return Conv(_random_f_type(rng, size - 1))  # not an F type
+
+
+def _random_derivation(rng: random.Random, size: int):
+    if size <= 1 or rng.random() < 0.2:
+        return DVar(rng.choice(F_NAMES))
+    roll = rng.random()
+    if roll < 0.35:
+        ann = _random_f_type(rng, rng.randint(1, 4))
+        return DAbs(rng.choice(F_NAMES), ann, _random_derivation(rng, size - 1))
+    if roll < 0.6:
+        cut = rng.randint(1, size - 1)
+        return DApp(_random_derivation(rng, cut), _random_derivation(rng, size - cut))
+    if roll < 0.8:
+        return DGen(rng.choice(F_TVARS), _random_derivation(rng, size - 1))
+    return DInst(_random_f_type(rng, rng.randint(1, 3)), _random_derivation(rng, size - 1))
+
+
+def test_validation_and_embedding_match_the_reference_on_random_derivations():
+    # Mostly ill-formed: shadowing binders, unbound and dotted names,
+    # generalized variables free in the context, mismatched types.
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(1500):
+        names = rng.sample(F_NAMES, rng.randint(0, 2))
+        delta = tuple((n, _random_f_type(rng, rng.randint(1, 3))) for n in names)
+        d = _random_derivation(rng, rng.randint(1, 10))
+        got = _outcome(validate_f, delta, d)
+        assert got == _outcome(reference.validate_f, delta, d), (delta, d)
+        assert _outcome(embed_f, delta, d) == _outcome(reference.embed_f, delta, d), (delta, d)
+        kinds.add(got[1] if isinstance(got, tuple) else "ok")
+    assert kinds >= {"ok", RULE_MISMATCH, F_FRESHNESS_VIOLATION, "unbound-variable"}
+
+
+def _random_proof(rng: random.Random, size: int):
+    """An unchecked proof over three names, so binders often shadow."""
+    names = ("u", "v", "w")
+    if size <= 1 or rng.random() < 0.2:
+        return PVar(rng.choice(names)) if rng.random() < 0.8 else PIota(Var("a"), Var("f"))
+    roll = rng.random()
+    if roll < 0.45:
+        cut = rng.randint(1, size - 1)
+        a, b = _random_proof(rng, cut), _random_proof(rng, size - cut)
+        if roll < 0.15:
+            return PApp(a, b)
+        if roll < 0.3:
+            return PPi(a, "m", rng.choice(names), rng.choice(names), b)
+        return PPair(a, b, Var("m"))
+    body = _random_proof(rng, size - 1)
+    if roll < 0.75:
+        return PLam(rng.choice(names), "x", R, "y", body)
+    wrap = rng.choice(
+        (
+            lambda p: PTyLam("X", p),
+            lambda p: PTyApp(p, R),
+            lambda p: PConv(Var("a"), p, Var("b")),
+            PConvI,
+            PConvE,
+            lambda p: PRho("z", Var("z"), Var("z"), PVar("u"), p),
+        )
+    )
+    return wrap(body)
+
+
+def test_erasure_matches_the_reference_on_random_unchecked_proofs():
+    rng = random.Random(11)
+    for _ in range(1500):
+        p = _random_proof(rng, rng.randint(1, 16))
+        assert repr(erase_proof(p)) == repr(reference.erase_proof(p)), p
