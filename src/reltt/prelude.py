@@ -1,13 +1,14 @@
-"""Derived types, datatype generators, the checked standard library, and
-proof-building combinators.
+"""The library generator: datatype derivation generators, the checked
+standard library, and proof-building combinators.
 
-The derived forms are symbolic constructors (internalized typing, conjugation,
-subset, implicit product, products, sums, booleans, naturals, parametric and
-inductive datatypes, recursive types) with a total, capture-avoiding expansion
-into core relational types.
+This module writes the packaged library file (`script.export_prelude`, run by
+`python -m reltt.gen_prelude`); checking a script never imports it. It builds
+on `reltt.derived`, which holds the derived forms and the datatype term
+generators that the parser needs.
 
-The generators produce the functorial map, the fold/in/rebuild constructors,
-and, separately, their System F derivations. Terms exist for every
+The derivation generators produce the System F derivations of the functorial
+map, the fold and the constructor, whose terms `reltt.derived` generates
+(`gen_rebuild` composes the last two). Terms exist for every
 functor-shaped parameter; derivations additionally need the parameter to occur
 at the right polarity. One corner of the map lemma is genuinely underivable in
 Curry-style F: a quantifier chain binding directly over the bare parameter
@@ -36,6 +37,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .analysis import PLUS, flip, polarity_holds
+from .derived import (
+    I_TERM,
+    K_TERM,
+    PreludeError,
+    bool_,
+    dparam,
+    gen_fold,
+    gen_in,
+    imp_prod,
+    nat,
+    prod,
+    require_f_shaped,
+    subset,
+    sum_,
+    unit,
+)
 from .kernel import (
     KernelError,
     PApp,
@@ -49,25 +66,20 @@ from .kernel import (
     Proof,
     check,
 )
-from .reduction import DEFAULT_FUEL, normalize
+from .reduction import DEFAULT_FUEL
 from .syntax import (
     All,
     App,
     Arrow,
-    Comp,
     Context,
     ContextEntry,
-    Conv,
     Judgment,
-    Promote,
     RelType,
-    TBound,
     TVar,
     Term,
     Var,
     alpha_eq,
     all_,
-    free_type_vars,
     free_vars,
     fresh,
     lam,
@@ -82,26 +94,11 @@ from .systemf import (
     DVar,
     FDerivation,
     embed_f,
-    identity_term,
-    is_f_type,
     pair_term,
     project_type,
     rename_ftvars,
-    validate_f,
 )
 
-I_TERM = identity_term()
-K_TERM = lam("x", lam("y", Var("x")))
-
-
-class PreludeError(Exception):
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
-
-
-MALFORMED_PARAMETER = "malformed-parameter"
 POLARITY_VIOLATION = "polarity-violation"
 UNDERIVABLE = "underivable"
 NOT_DERIVABLE = "not-derivable"
@@ -109,216 +106,12 @@ BUILDER_MISMATCH = "builder-mismatch"
 
 
 # ---------------------------------------------------------------------------
-# Derived forms
+# Datatype generators
 # ---------------------------------------------------------------------------
-
-
-class DerivedForm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class IntTypeL(DerivedForm):
-    """[t]R: internalized typing on the left."""
-
-    term: Term
-    rel: RelType
-
-
-@dataclass(frozen=True)
-class IntTypeR(DerivedForm):
-    """R[t]: internalized typing on the right."""
-
-    rel: RelType
-    term: Term
-
-
-@dataclass(frozen=True)
-class Conj(DerivedForm):
-    """t.R.t': conjugation by promoted terms."""
-
-    left: Term
-    rel: RelType
-    right: Term
-
-
-@dataclass(frozen=True)
-class DConj(DerivedForm):
-    """t..R: self-conjugation."""
-
-    term: Term
-    rel: RelType
-
-
-@dataclass(frozen=True)
-class Subset(DerivedForm):
-    dom: RelType
-    cod: RelType
-
-
-@dataclass(frozen=True)
-class ImpProd(DerivedForm):
-    """R => R': the implicit product."""
-
-    dom: RelType
-    cod: RelType
-
-
-@dataclass(frozen=True)
-class RelEq(DerivedForm):
-    left: RelType
-    right: RelType
-
-
-@dataclass(frozen=True)
-class Prod(DerivedForm):
-    left: RelType
-    right: RelType
-
-
-@dataclass(frozen=True)
-class Sum(DerivedForm):
-    left: RelType
-    right: RelType
-
-
-@dataclass(frozen=True)
-class UnitForm(DerivedForm):
-    pass
-
-
-@dataclass(frozen=True)
-class BoolForm(DerivedForm):
-    pass
-
-
-@dataclass(frozen=True)
-class NatForm(DerivedForm):
-    pass
-
-
-@dataclass(frozen=True)
-class DParam(DerivedForm):
-    tvar: str
-    rel: RelType
-
-
-@dataclass(frozen=True)
-class DInd(DerivedForm):
-    tvar: str
-    rel: RelType
-
-
-@dataclass(frozen=True)
-class Rec(DerivedForm):
-    tvar: str
-    rel: RelType
-
-
-def _require_f_shaped(r: RelType, who: str) -> None:
-    if not is_f_type(r):
-        raise PreludeError(
-            MALFORMED_PARAMETER,
-            f"{who} needs a System F-shaped parameter (no converse, composition, or promotion)",
-        )
-
-
-def expand(form: DerivedForm) -> RelType:
-    """Total, capture-avoiding expansion into the core type syntax."""
-    match form:
-        case IntTypeL(t, r):
-            return Comp(Promote(App(K_TERM, t)), r)
-        case IntTypeR(r, t):
-            return Comp(r, Conv(Promote(App(K_TERM, t))))
-        case Conj(t, r, tp):
-            return Comp(Promote(t), Comp(r, Conv(Promote(tp))))
-        case DConj(t, r):
-            return expand(Conj(t, r, t))
-        case Subset(dom, cod):
-            return expand(DConj(App(K_TERM, I_TERM), Arrow(dom, cod)))
-        case ImpProd(dom, cod):
-            return expand(DConj(K_TERM, Arrow(dom, cod)))
-        case RelEq(l, r):
-            return Comp(expand(Subset(l, r)), expand(Subset(r, l)))
-        case Prod(l, r):
-            x = fresh("X", free_vars(l)[1] | free_vars(r)[1])
-            return all_(x, Arrow(Arrow(l, Arrow(r, TVar(x))), TVar(x)))
-        case Sum(l, r):
-            y = fresh("Y", free_vars(l)[1] | free_vars(r)[1])
-            return all_(
-                y, Arrow(Arrow(l, TVar(y)), Arrow(Arrow(r, TVar(y)), TVar(y)))
-            )
-        case UnitForm():
-            return all_("X", Arrow(TVar("X"), TVar("X")))
-        case BoolForm():
-            return all_("X", Arrow(TVar("X"), Arrow(TVar("X"), TVar("X"))))
-        case NatForm():
-            return expand(DParam("X", expand(Sum(expand(UnitForm()), TVar("X")))))
-        case DParam(x, r):
-            _require_f_shaped(r, "the parametric datatype")
-            return all_(x, Arrow(Arrow(r, TVar(x)), TVar(x)))
-        case DInd(x, r):
-            _require_f_shaped(r, "the inductive datatype")
-            t_in = normalize(gen_in(x, r), DEFAULT_FUEL).term
-            shell = expand(IntTypeL(t_in, expand(IntTypeR(Arrow(r, TVar(x)), t_in))))
-            return all_(x, expand(ImpProd(shell, TVar(x))))
-        case Rec(x, r):
-            return all_(x, expand(ImpProd(expand(Subset(r, TVar(x))), TVar(x))))
-    raise TypeError(f"not a derived form: {form!r}")
-
-
-# ---------------------------------------------------------------------------
-# Datatype term generators
-# ---------------------------------------------------------------------------
-
-
-def compose_terms(t: Term, tp: Term) -> Term:
-    """t . t' = \\x. t (t' x)"""
-    return lam("x", App(t, App(tp, Var("x"))))
-
-
-def gen_fmap(x: str, r: RelType) -> Term:
-    """The functorial map term, one equation per type constructor."""
-    _require_f_shaped(r, "the functorial map")
-    match r:
-        case TVar(n):
-            return I_TERM if n == x else App(K_TERM, I_TERM)
-        case Arrow(dom, cod):
-            fm_dom = gen_fmap(x, dom)
-            fm_cod = gen_fmap(x, cod)
-            body = compose_terms(
-                compose_terms(App(fm_cod, Var("f")), Var("a")), App(fm_dom, Var("f"))
-            )
-            return lam("f", lam("a", body))
-        case All(h, b):
-            y = fresh(h or "Y", {x} | free_vars(r)[1])
-            inner = gen_fmap(x, open_type(b, TVar(y)))
-            return lam("f", App(inner, Var("f")))
-        case TBound(_):
-            raise ValueError("gen_fmap expects a locally closed type")
-    raise TypeError(f"not a type: {r!r}")
-
-
-def gen_fold() -> Term:
-    return lam("a", lam("x", App(Var("x"), Var("a"))))
-
-
-def gen_in(x: str, r: RelType) -> Term:
-    _require_f_shaped(r, "the datatype constructor")
-    fm = gen_fmap(x, r)
-    return lam(
-        "x",
-        lam("a", App(Var("a"), App(App(fm, App(gen_fold(), Var("a"))), Var("x")))),
-    )
 
 
 def gen_rebuild(x: str, r: RelType) -> Term:
     return App(gen_fold(), gen_in(x, r))
-
-
-# ---------------------------------------------------------------------------
-# Datatype derivation generators
-# ---------------------------------------------------------------------------
 
 
 def gen_fmap_deriv(
@@ -336,7 +129,7 @@ def gen_fmap_deriv(
     binders clear of an enclosing scope so it can be spliced into larger
     derivations unchanged.
     """
-    _require_f_shaped(r, "the functorial map")
+    require_f_shaped(r, "the functorial map")
     if not polarity_holds(x, p, r):
         raise PreludeError(
             POLARITY_VIOLATION,
@@ -431,12 +224,6 @@ def _fmap_build(
     raise TypeError(f"not a type: {r!r}")
 
 
-def dparam_ftype(x: str, r: RelType) -> RelType:
-    """The parametric datatype's F type: forall X. (R -> X) -> X."""
-    _require_f_shaped(r, "the parametric datatype")
-    return all_(x, Arrow(Arrow(r, TVar(x)), TVar(x)))
-
-
 def gen_fold_deriv(
     x: str,
     r: RelType,
@@ -448,8 +235,8 @@ def gen_fold_deriv(
     The fold is parametric in the algebra's carrier, so unlike the datatype
     constructor it needs no positivity of the parameter.
     """
-    _require_f_shaped(r, "the fold")
-    d = dparam_ftype(x, r)
+    require_f_shaped(r, "the fold")
+    d = dparam(x, r)
     nb = fresh(x, set(avoid_tvars))
     fr_nb = rename_ftvars(r, {x: nb})
     a = fresh("a", set(avoid))
@@ -465,13 +252,13 @@ def gen_in_deriv(
     avoid_tvars: frozenset[str] = frozenset(),
 ) -> FDerivation:
     """Derivation of the constructor at [D / X]R -> D."""
-    _require_f_shaped(r, "the datatype constructor")
+    require_f_shaped(r, "the datatype constructor")
     if not polarity_holds(x, PLUS, r):
         raise PreludeError(
             POLARITY_VIOLATION,
             f"'{x}' does not occur only positively in the parameter",
         )
-    d = dparam_ftype(x, r)
+    d = dparam(x, r)
     d_sub = subst_tvar(d, x, r)
 
     taken = set(avoid)
@@ -510,36 +297,23 @@ class StdlibEntry:
 
 
 def _entry(name: str, term: Term, ftype: RelType, deriv: FDerivation) -> StdlibEntry:
-    subject, ty = validate_f((), deriv)
-    if not (alpha_eq(subject, term) and alpha_eq(ty, ftype)):
-        raise RuntimeError(f"stdlib entry '{name}' does not match its derivation")
+    # `embed_f` validates the derivation, and the kernel's judgment relates
+    # its subject to the dotted copy at its type.
     ctx, proof = embed_f((), deriv)
     judgment = check(ctx, proof)
+    if not (alpha_eq(judgment.left, term) and alpha_eq(judgment.rel, ftype)):
+        raise RuntimeError(f"stdlib entry '{name}' does not match its derivation")
     return StdlibEntry(name, term, ftype, deriv, proof, judgment)
 
 
-UNIT_F = all_("X", Arrow(TVar("X"), TVar("X")))
-BOOL_F = all_("X", Arrow(TVar("X"), Arrow(TVar("X"), TVar("X"))))
-
-
-def _sum_f(a: RelType, b: RelType) -> RelType:
-    y = fresh("Y", free_type_vars((a, b)))
-    return all_(
-        y, Arrow(Arrow(a, TVar(y)), Arrow(Arrow(b, TVar(y)), TVar(y)))
-    )
-
-
-def _prod_f(a: RelType, b: RelType) -> RelType:
-    x = fresh("X", free_type_vars((a, b)))
-    return all_(x, Arrow(Arrow(a, Arrow(b, TVar(x))), TVar(x)))
-
-
-NAT_R = expand(NatForm())
+UNIT_F = unit()
+BOOL_F = bool_()
+NAT_R = nat()
 NAT_F = project_type(NAT_R)
-SUM_ONE_NAT_F = _sum_f(UNIT_F, NAT_F)
+SUM_ONE_NAT_F = sum_(UNIT_F, NAT_F)
 
 # The open functor 1 + X, shared by the numeric entries.
-_ONE_PLUS_X = expand(Sum(expand(UnitForm()), TVar("X")))
+_ONE_PLUS_X = sum_(unit(), TVar("X"))
 
 # Internal binders of generated derivations stay clear of the handful of
 # names the stdlib compositions bind around them.
@@ -590,7 +364,7 @@ def _fst_deriv() -> FDerivation:
     keep = DAbs("x", a, DAbs("y", b, DVar("x")))
     return DGen(
         "A",
-        DGen("B", DAbs("p", _prod_f(a, b), DApp(DInst(a, DVar("p")), keep))),
+        DGen("B", DAbs("p", prod(a, b), DApp(DInst(a, DVar("p")), keep))),
     )
 
 
@@ -599,7 +373,7 @@ def _snd_deriv() -> FDerivation:
     keep = DAbs("x", a, DAbs("y", b, DVar("y")))
     return DGen(
         "A",
-        DGen("B", DAbs("p", _prod_f(a, b), DApp(DInst(b, DVar("p")), keep))),
+        DGen("B", DAbs("p", prod(a, b), DApp(DInst(b, DVar("p")), keep))),
     )
 
 
@@ -647,7 +421,7 @@ def _branches_deriv() -> FDerivation:
             Arrow(b, z),
             DAbs(
                 "c",
-                _sum_f(a, b),
+                sum_(a, b),
                 DApp(DApp(DInst(z, DVar("c")), DVar("n")), DVar("m")),
             ),
         ),
@@ -687,7 +461,9 @@ def _inr_at(a: RelType, b: RelType) -> FDerivation:
     return DInst(b, DInst(a, _inj_splice(False)))
 
 
+@lru_cache(maxsize=1)
 def _in_nat_deriv() -> FDerivation:
+    # Five library entries splice this derivation; it is immutable, so they share one.
     return gen_in_deriv("X", _ONE_PLUS_X, _STDLIB_AVOID)
 
 
@@ -788,11 +564,11 @@ def stdlib() -> dict[str, StdlibEntry]:
     a, b, z = TVar("A"), TVar("B"), TVar("Z")
     id_f = all_("A", Arrow(a, a))
     k_f = all_("A", all_("B", Arrow(a, Arrow(b, a))))
-    pair_f = all_("A", all_("B", Arrow(a, Arrow(b, _prod_f(a, b)))))
-    fst_f = all_("A", all_("B", Arrow(_prod_f(a, b), a)))
-    snd_f = all_("A", all_("B", Arrow(_prod_f(a, b), b)))
-    inl_f = all_("A", all_("B", Arrow(a, _sum_f(a, b))))
-    inr_f = all_("A", all_("B", Arrow(b, _sum_f(a, b))))
+    pair_f = all_("A", all_("B", Arrow(a, Arrow(b, prod(a, b)))))
+    fst_f = all_("A", all_("B", Arrow(prod(a, b), a)))
+    snd_f = all_("A", all_("B", Arrow(prod(a, b), b)))
+    inl_f = all_("A", all_("B", Arrow(a, sum_(a, b))))
+    inr_f = all_("A", all_("B", Arrow(b, sum_(a, b))))
     branches_f = all_(
         "A",
         all_(
@@ -800,7 +576,7 @@ def stdlib() -> dict[str, StdlibEntry]:
             all_(
                 "Z",
                 Arrow(
-                    Arrow(a, z), Arrow(Arrow(b, z), Arrow(_sum_f(a, b), z))
+                    Arrow(a, z), Arrow(Arrow(b, z), Arrow(sum_(a, b), z))
                 ),
             ),
         ),
@@ -912,7 +688,7 @@ def subset_intro(
         mid1,
     )
     proof = _checked(ctx, proof, fuel)
-    want = expand(Subset(dom, cod))
+    want = subset(dom, cod)
     got = check(ctx, proof, fuel)
     if not alpha_eq(got.rel, want):
         raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
@@ -941,7 +717,7 @@ def impprod_intro(
         mid1,
     )
     proof = _checked(ctx, proof, fuel)
-    want = expand(ImpProd(dom, cod))
+    want = imp_prod(dom, cod)
     got = check(ctx, proof, fuel)
     if not alpha_eq(got.rel, want):
         raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
@@ -976,7 +752,7 @@ def bool_discrimination(r: RelType, fuel: int = DEFAULT_FUEL) -> tuple[Context, 
     right."""
     tt = lam("x", lam("y", Var("x")))
     ff = lam("x", lam("y", Var("y")))
-    bool_r = expand(BoolForm())
+    bool_r = bool_()
     ctx = (
         ContextEntry("u", tt, bool_r, ff),
         ContextEntry("v", Var("x"), r, Var("x'")),

@@ -38,6 +38,7 @@ from .analysis import (
     is_symmetric,
     polarity_holds,
 )
+from .derived import bool_, nat, unit
 from .kernel import (
     KernelError,
     PApp,
@@ -411,17 +412,16 @@ _PRELUDE_HEADER = """\
 -- Regenerate with `python -m reltt.gen_prelude`; do not edit by hand.
 """
 
-_PRELUDE_TYPES = ("Unit", "Bool", "Nat")
+_PRELUDE_TYPES = (("Unit", unit), ("Bool", bool_), ("Nat", nat))
 
 
 def export_prelude() -> str:
     """Render the standard library as a proof script."""
-    from .prelude import BoolForm, NatForm, UnitForm, expand, stdlib
+    from .prelude import stdlib
 
     lines = [_PRELUDE_HEADER]
-    forms = {"Unit": UnitForm(), "Bool": BoolForm(), "Nat": NatForm()}
-    for name in _PRELUDE_TYPES:
-        lines.append(f"type {name} := {render_type(expand(forms[name]))}")
+    for name, form in _PRELUDE_TYPES:
+        lines.append(f"type {name} := {render_type(form())}")
     lines.append("")
     lib = stdlib()
     for name, entry in lib.items():

@@ -5,9 +5,10 @@ The grammar is plain ASCII with Unicode aliases accepted on input. Types use
 postfix `^` for converse (tightest), `*` for composition, `+` for sums,
 `->` for arrows (all right-associative, in tightening order `->`, `+`, `*`,
 `^`), and `all X. R` / `rec X. R` extending to the right. Derived sugar
-(`[t] R`, `R [t]`, `t .. R`, `<=`, `=>`, `~~`, `Dparam`, `Dind`, `1`)
-expands at parse time to core types via the prelude's expansion, so the
-parsed result is always core syntax.
+(`[t] R`, `R [t]`, `t .. R`, `<=`, `=>`, `~~`, `+`, `rec X. R`, `Dparam`,
+`Dind`, `1`) expands at parse time to core types through the form functions
+of `reltt.derived`, so the parsed result is always core syntax. A datatype
+whose parameter is not System F-shaped is a parse error at the form's span.
 
 Proof terms mirror the checker's constructors: `fun (u : x [R] y) => p`,
 juxtaposition, `p {R}`, `Fun X => p`, `t <| p |> t'`, `conv_i p`,
@@ -26,7 +27,7 @@ its binder, so an identifier in scope becomes its `Bound` index at once and
 every `Lam` is built once, never closed afterwards. Every term entered from
 a type, proof or statement starts with an empty scope. Type binders
 (`all X.`, `rec X.`, and the binders that sugar expansion adds) are closed
-with `syntax.all_` and `prelude.expand`. `t .. R` and `t <| p |> t'` begin
+with `syntax.all_` and the form functions. `t .. R` and `t <| p |> t'` begin
 with a term; the parser tries one only where the first token ahead that a
 term cannot contain is `..` or `<|`, so it never parses a term that it then
 throws away.
@@ -56,19 +57,19 @@ from .kernel import (
     PVar,
     Proof,
 )
-from .prelude import (
-    DConj,
-    DInd,
-    DParam,
-    ImpProd,
-    IntTypeL,
-    IntTypeR,
-    Rec,
-    RelEq,
-    Subset,
-    Sum,
-    UnitForm,
-    expand,
+from .derived import (
+    PreludeError,
+    dconj,
+    dind,
+    dparam,
+    imp_prod,
+    int_type_l,
+    int_type_r,
+    rec,
+    rel_eq,
+    subset,
+    sum_,
+    unit,
 )
 from .syntax import (
     All,
@@ -293,7 +294,7 @@ _TERM_KEYS = frozenset({"IDENT", "LPAREN", "RPAREN", "LAMBDA", "DOT"})
 _TERM_ARG = frozenset({"IDENT", "LPAREN"})
 _POSTFIX = frozenset({"HAT", "LBRACK"})
 _PROOF_ARG = frozenset({"IDENT", "LPAREN", "iota", "conv_i", "conv_e"})
-_TYPE_INFIX = {"SUBSET": Subset, "DARROW": ImpProd, "RELEQ": RelEq}
+_TYPE_INFIX = {"SUBSET": subset, "DARROW": imp_prod, "RELEQ": rel_eq}
 
 
 class _Parser:
@@ -394,13 +395,13 @@ class _Parser:
             name = self.ident()
             self.expect("DOT")
             body = self.type_()
-            return all_(name, body) if key == "all" else expand(Rec(name, body))
+            return all_(name, body) if key == "all" else rec(name, body)
         left = self.type_arrow()
         form = _TYPE_INFIX.get(self.keys[self.pos])
         if form is None:
             return left
         self.pos += 1
-        return expand(form(left, self.type_arrow()))
+        return form(left, self.type_arrow())
 
     def type_arrow(self) -> RelType:
         dom = self.type_sum()
@@ -416,7 +417,7 @@ class _Parser:
         left = self.type_conj()
         if self.keys[self.pos] == "PLUS":
             self.pos += 1
-            return expand(Sum(left, self.type_sum()))
+            return sum_(left, self.type_sum())
         return left
 
     def type_conj(self) -> RelType:
@@ -427,7 +428,7 @@ class _Parser:
                 t = self.term()
                 if self.keys[self.pos] == "DOTDOT":
                     self.pos += 1
-                    return expand(DConj(t, self.type_conj()))
+                    return dconj(t, self.type_conj())
             except ParseError:
                 pass
             self.pos = save
@@ -445,7 +446,7 @@ class _Parser:
             self.pos += 1
             t = self.term()
             self.expect("RBRACK")
-            return expand(IntTypeL(t, self.type_prefixed()))
+            return int_type_l(t, self.type_prefixed())
         return self.type_postfixed()
 
     def type_postfixed(self) -> RelType:
@@ -458,7 +459,7 @@ class _Parser:
             else:
                 t = self.term()
                 self.expect("RBRACK")
-                r = expand(IntTypeR(r, t))
+                r = int_type_r(r, t)
         return r
 
     def type_atom(self) -> RelType:
@@ -470,7 +471,7 @@ class _Parser:
             return TVar(t.value)
         if key == "NUMBER" and t.value == "1":
             self.pos = pos + 1
-            return expand(UnitForm())
+            return unit()
         if key == "LBRACE":
             self.pos = pos + 1
             inner = self.term()
@@ -487,9 +488,11 @@ class _Parser:
             name = self.ident()
             self.expect("COMMA")
             body = self.type_()
-            self.expect("RPAREN")
-            form = DParam(name, body) if key == "Dparam" else DInd(name, body)
-            return expand(form)
+            end = self.expect("RPAREN").end
+            try:
+                return dparam(name, body) if key == "Dparam" else dind(name, body)
+            except PreludeError as e:
+                raise ParseError(e.message, (t.start, end)) from None
         raise ParseError(f"expected a type, found {t.value or 'end of input'}", (t.start, t.end))
 
     # -- proofs --
@@ -919,10 +922,3 @@ def _rp(p: Proof, prec: int) -> str:
 def render_judgment(j: Judgment) -> str:
     return f"{render_term(j.left)} [{render_type(j.rel)}] {render_term(j.right)}"
 
-
-def render_context_entry(e: ContextEntry) -> str:
-    return f"{e.pvar} : {render_term(e.left)} [{render_type(e.rel)}] {render_term(e.right)}"
-
-
-def render_context(ctx: tuple[ContextEntry, ...]) -> str:
-    return "[" + ", ".join(render_context_entry(e) for e in ctx) + "]"

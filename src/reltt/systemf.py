@@ -494,42 +494,8 @@ def _pair_derivation(delta: FContext, a: RelType, b: RelType) -> FDerivation:
 
 
 # ---------------------------------------------------------------------------
-# Dotted renaming and embedding
+# Embedding
 # ---------------------------------------------------------------------------
-
-
-def dot_rename(t: Term) -> Term:
-    """Rename every variable, free and bound, through the dotted injection."""
-    _require_undotted_term(t)
-    return _dot_term(t)
-
-
-def _require_undotted_term(t: Term) -> None:
-    match t:
-        case Var(n):
-            if is_dotted(n):
-                raise FError(DOTTED_COLLISION, f"variable '{n}' is already dotted")
-        case Lam(h, b):
-            if is_dotted(h):
-                raise FError(DOTTED_COLLISION, f"binder '{h}' is already dotted")
-            _require_undotted_term(b)
-        case App(f, a):
-            _require_undotted_term(f)
-            _require_undotted_term(a)
-        case _:
-            pass
-
-
-def _dot_term(t: Term) -> Term:
-    match t:
-        case Var(n):
-            return Var(dot_name(n))
-        case Lam(h, b):
-            return Lam(dot_name(h), _dot_term(b))
-        case App(f, a):
-            return App(_dot_term(f), _dot_term(a))
-        case _:
-            return t
 
 
 def embed_f(delta: FContext, d: FDerivation) -> tuple[Context, Proof]:

@@ -132,6 +132,16 @@ def random_type(rng: random.Random, size: int) -> RelType:
     return Promote(random_term(rng, max(size - 1, 1)))
 
 
+def random_f_type(rng: random.Random, size: int) -> RelType:
+    """Random System F-shaped type: type variables, arrows and universals only."""
+    if size <= 1 or rng.random() < 0.3:
+        return TVar(rng.choice(TYPE_NAMES))
+    if rng.random() < 0.3:
+        return all_(rng.choice(TYPE_NAMES), random_f_type(rng, size - 1))
+    cut = rng.randint(1, size - 1)
+    return Arrow(random_f_type(rng, cut), random_f_type(rng, size - cut))
+
+
 def random_redex_term(rng: random.Random, size: int, depth: int = 0) -> Term:
     """Random locally closed term with free names, nested binders and many redexes.
 

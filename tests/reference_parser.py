@@ -27,19 +27,18 @@ from reltt.kernel import (
     PVar,
     Proof,
 )
-from reltt.prelude import (
-    DConj,
-    DInd,
-    DParam,
-    ImpProd,
-    IntTypeL,
-    IntTypeR,
-    Rec,
-    RelEq,
-    Subset,
-    Sum,
-    UnitForm,
-    expand,
+from reltt.derived import (
+    dconj,
+    dind,
+    dparam,
+    imp_prod,
+    int_type_l,
+    int_type_r,
+    rec,
+    rel_eq,
+    subset,
+    sum_,
+    unit,
 )
 from reltt.surface import Command, ParseError, Pragma, ProofDef, Script, TermDef, TypeDef
 from reltt.syntax import (
@@ -279,17 +278,17 @@ class _Parser:
             self.next()
             name = self.ident()
             self.expect("DOT")
-            return expand(Rec(name, self.type_()))
+            return rec(name, self.type_())
         left = self.type_arrow()
         if self.at("SUBSET"):
             self.next()
-            return expand(Subset(left, self.type_arrow()))
+            return subset(left, self.type_arrow())
         if self.at("DARROW"):
             self.next()
-            return expand(ImpProd(left, self.type_arrow()))
+            return imp_prod(left, self.type_arrow())
         if self.at("RELEQ"):
             self.next()
-            return expand(RelEq(left, self.type_arrow()))
+            return rel_eq(left, self.type_arrow())
         return left
 
     def type_arrow(self) -> RelType:
@@ -305,7 +304,7 @@ class _Parser:
         left = self.type_conj()
         if self.at("PLUS"):
             self.next()
-            return expand(Sum(left, self.type_sum()))
+            return sum_(left, self.type_sum())
         return left
 
     def type_conj(self) -> RelType:
@@ -316,7 +315,7 @@ class _Parser:
             t = self.term()
             if self.at("DOTDOT"):
                 self.next()
-                return expand(DConj(t, self.type_conj()))
+                return dconj(t, self.type_conj())
         except ParseError:
             pass
         self.pos = save
@@ -334,7 +333,7 @@ class _Parser:
             self.next()
             t = self.term()
             self.expect("RBRACK")
-            return expand(IntTypeL(t, self.type_prefixed()))
+            return int_type_l(t, self.type_prefixed())
         return self.type_postfixed()
 
     def type_postfixed(self) -> RelType:
@@ -347,7 +346,7 @@ class _Parser:
                 self.next()
                 t = self.term()
                 self.expect("RBRACK")
-                r = expand(IntTypeR(r, t))
+                r = int_type_r(r, t)
             else:
                 return r
 
@@ -358,7 +357,7 @@ class _Parser:
             return TVar(t.value)
         if self.at("NUMBER", "1"):
             self.next()
-            return expand(UnitForm())
+            return unit()
         if self.at("LBRACE"):
             self.next()
             inner = self.term()
@@ -376,8 +375,7 @@ class _Parser:
             self.expect("COMMA")
             body = self.type_()
             self.expect("RPAREN")
-            form = DParam(name, body) if kw == "Dparam" else DInd(name, body)
-            return expand(form)
+            return dparam(name, body) if kw == "Dparam" else dind(name, body)
         raise ParseError(f"expected a type, found {t.value or 'end of input'}", (t.start, t.end))
 
     # -- proofs --

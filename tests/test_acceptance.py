@@ -18,13 +18,9 @@ from proof_tools import rename_binders
 from reltt.analysis import MINUS, PLUS, polarity_holds
 from reltt.cli import EXIT_CHECK, main
 from reltt.kernel import Judgment, check, to_relpf
+from reltt.derived import dparam, gen_fmap, sum_, unit
 from reltt.prelude import (
-    Sum,
-    UnitForm,
-    dparam_ftype,
-    expand,
     bool_discrimination,
-    gen_fmap,
     gen_fmap_deriv,
     gen_in_deriv,
     numeral,
@@ -62,7 +58,7 @@ from reltt.systemf import (
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 R = TVar("R")
-ONE_PLUS_X = expand(Sum(expand(UnitForm()), TVar("X")))
+ONE_PLUS_X = sum_(unit(), TVar("X"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -178,7 +174,7 @@ def test_criterion_04_fmap_table():
 
 def test_criterion_05_datatype_pipeline():
     started = time.perf_counter()
-    nat_f = dparam_ftype("X", ONE_PLUS_X)
+    nat_f = dparam("X", ONE_PLUS_X)
 
     subject, ftype = validate_f((), gen_in_deriv("X", ONE_PLUS_X))
     unrolled = project_type(

@@ -19,7 +19,7 @@ from reltt.analysis import (
     is_symmetric,
     polarity_holds,
 )
-from reltt.prelude import Subset, Sum, UnitForm, expand
+from reltt.derived import subset, sum_, unit
 from reltt.reduction import DEFAULT_FUEL
 from reltt.syntax import App, Arrow, Comp, Conv, Promote, TVar, Var, all_, free_type_vars, lam
 
@@ -36,7 +36,7 @@ def test_flip_is_an_involution():
 def test_polarity_examples():
     assert polarity_holds("X", PLUS, TVar("X")) is True
     assert polarity_holds("X", PLUS, Arrow(TVar("X"), TVar("X"))) is False
-    one_plus_x = expand(Sum(expand(UnitForm()), TVar("X")))
+    one_plus_x = sum_(unit(), TVar("X"))
     assert polarity_holds("X", PLUS, one_plus_x) is True
 
 
@@ -70,7 +70,7 @@ def test_forall_class_undecided_promotion_is_an_error():
 def test_symmetric_examples():
     assert is_symmetric(Conv(TVar("X")), DEFAULT_FUEL) is True
     assert is_symmetric(Comp(TVar("X"), TVar("X")), DEFAULT_FUEL) is False
-    subset_shape = expand(Subset(TVar("X"), TVar("X")))
+    subset_shape = subset(TVar("X"), TVar("X"))
     assert is_symmetric(subset_shape, DEFAULT_FUEL) is True
 
 

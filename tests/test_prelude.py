@@ -2,37 +2,46 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracle_lambda as oracle
+import reference_forms as old
+from generators import TYPE_NAMES, random_f_type, random_term, random_type
 from reltt.analysis import MINUS, PLUS
+from reltt.derived import (
+    MALFORMED_PARAMETER,
+    PreludeError,
+    bool_,
+    compose_terms,
+    conj,
+    dconj,
+    dind,
+    dparam,
+    gen_fmap,
+    gen_fold,
+    gen_in,
+    imp_prod,
+    int_type_l,
+    int_type_r,
+    nat,
+    prod,
+    rec,
+    rel_eq,
+    subset,
+    sum_,
+    unit,
+)
 from reltt.kernel import PVar, check
 from reltt.prelude import (
-    MALFORMED_PARAMETER,
     NOT_DERIVABLE,
     POLARITY_VIOLATION,
     UNDERIVABLE,
-    DConj,
-    DParam,
-    ImpProd,
-    IntTypeL,
-    IntTypeR,
-    NatForm,
-    PreludeError,
-    Rec,
-    Subset,
-    Sum,
-    UnitForm,
-    compose_terms,
     conj_intro,
-    dparam_ftype,
-    expand,
     bool_discrimination,
-    gen_fmap,
     gen_fmap_deriv,
-    gen_fold,
     gen_fold_deriv,
-    gen_in,
     gen_in_deriv,
     gen_rebuild,
     impprod_intro,
@@ -44,7 +53,7 @@ from reltt.prelude import (
     subset_intro,
 )
 from reltt.reduction import EQUAL, conv_check
-from reltt.surface import parse_type
+from reltt.surface import parse_type, render_type
 from reltt.syntax import (
     App,
     Arrow,
@@ -69,8 +78,8 @@ from reltt.systemf import (
 R = TVar("R")
 I = lam("z", Var("z"))
 K = lam("a", lam("b", Var("a")))
-UNIT = expand(UnitForm())
-ONE_PLUS_X = expand(Sum(UNIT, TVar("X")))
+UNIT = unit()
+ONE_PLUS_X = sum_(UNIT, TVar("X"))
 
 
 def from_oracle(t):
@@ -87,22 +96,22 @@ def from_oracle(t):
 
 def test_internalized_typing_expansions():
     t = Var("t")
-    assert expand(IntTypeL(t, R)) == Comp(Promote(App(K, t)), R)
-    assert expand(IntTypeR(R, t)) == Comp(R, Conv(Promote(App(K, t))))
+    assert int_type_l(t, R) == Comp(Promote(App(K, t)), R)
+    assert int_type_r(R, t) == Comp(R, Conv(Promote(App(K, t))))
 
 
 def test_nat_form_expands_to_its_church_core():
     core = parse_type("all X. ((all Y. ((all X. X -> X) -> Y) -> (X -> Y) -> Y) -> X) -> X")
-    assert expand(NatForm()) == core
+    assert nat() == core
 
 
 def test_rec_expands_through_subset_and_implicit_product():
-    inner = expand(ImpProd(expand(Subset(R, TVar("X"))), TVar("X")))
-    assert expand(Rec("X", R)) == all_("X", inner)
+    inner = imp_prod(subset(R, TVar("X")), TVar("X"))
+    assert rec("X", R) == all_("X", inner)
 
 
 def test_sum_expansion_avoids_capturing_free_variables():
-    su = expand(Sum(TVar("Y"), TVar("X")))
+    su = sum_(TVar("Y"), TVar("X"))
     q = TVar("Q")
     want = all_("Q", Arrow(Arrow(TVar("Y"), q), Arrow(Arrow(TVar("X"), q), q)))
     assert su == want
@@ -110,8 +119,56 @@ def test_sum_expansion_avoids_capturing_free_variables():
 
 def test_dparam_rejects_non_f_shaped_parameters():
     with pytest.raises(PreludeError) as e:
-        expand(DParam("X", Promote(Var("t"))))
+        dparam("X", Promote(Var("t")))
     assert e.value.kind == MALFORMED_PARAMETER
+
+
+def _expansion(build):
+    try:
+        return build()
+    except PreludeError as e:
+        return ("PreludeError", e.kind, e.message)
+
+
+def test_form_functions_match_the_expansion_of_the_old_records():
+    # Against tests/reference_forms.py, where each form was a record handed
+    # to `expand`: alpha-equal trees with the same rendering and `repr` (so
+    # the binder hints agree), or the same error. Datatype parameters are
+    # mostly System F-shaped, so `dparam` and `dind` also expand.
+    rng = random.Random(1117)
+    compared = 0
+    for _ in range(150):
+        t, tp = random_term(rng, rng.randint(1, 6)), random_term(rng, rng.randint(1, 6))
+        a, b = random_type(rng, rng.randint(1, 8)), random_type(rng, rng.randint(1, 8))
+        x = rng.choice(TYPE_NAMES)
+        f = random_f_type(rng, rng.randint(1, 7)) if rng.random() < 0.75 else a
+        pairs = [
+            (lambda: int_type_l(t, a), old.IntTypeL(t, a)),
+            (lambda: int_type_r(a, t), old.IntTypeR(a, t)),
+            (lambda: conj(t, a, tp), old.Conj(t, a, tp)),
+            (lambda: dconj(t, a), old.DConj(t, a)),
+            (lambda: subset(a, b), old.Subset(a, b)),
+            (lambda: imp_prod(a, b), old.ImpProd(a, b)),
+            (lambda: rel_eq(a, b), old.RelEq(a, b)),
+            (lambda: prod(a, b), old.Prod(a, b)),
+            (lambda: sum_(a, b), old.Sum(a, b)),
+            (unit, old.UnitForm()),
+            (bool_, old.BoolForm()),
+            (nat, old.NatForm()),
+            (lambda: dparam(x, f), old.DParam(x, f)),
+            (lambda: dind(x, f), old.DInd(x, f)),
+            (lambda: rec(x, a), old.Rec(x, a)),
+        ]
+        for build, form in pairs:
+            got, want = _expansion(build), _expansion(lambda: old.expand(form))
+            if isinstance(want, tuple):
+                assert got == want, form
+                continue
+            assert alpha_eq(got, want), form
+            assert render_type(got) == render_type(want), form
+            assert repr(got) == repr(want), form
+            compared += 1
+    assert compared > 150 * 14
 
 
 def test_fmap_at_the_parameter_is_the_identity():
@@ -174,7 +231,7 @@ def test_in_derivation_concludes_the_constructor_type():
     deriv = gen_in_deriv("X", ONE_PLUS_X)
     subject, ftype = validate_f((), deriv)
     assert alpha_eq(subject, gen_in("X", ONE_PLUS_X))
-    nat_f = dparam_ftype("X", ONE_PLUS_X)
+    nat_f = dparam("X", ONE_PLUS_X)
     unrolled = subst_tvar(rel_of_ftype(nat_f), "X", rel_of_ftype(project_type(ONE_PLUS_X)))
     assert ftype == Arrow(project_type(unrolled), nat_f)
 
@@ -239,7 +296,7 @@ def test_int_typing_builder():
     ctx = (ContextEntry("q", Var("g"), R, Var("h")),)
     j = check(ctx, int_typing_l(ctx, Var("g"), Var("c"), PVar("q")))
     assert j.left == Var("c")
-    assert j.rel == expand(IntTypeL(Var("g"), R))
+    assert j.rel == int_type_l(Var("g"), R)
     assert j.right == Var("h")
 
 
@@ -247,7 +304,7 @@ def test_subset_intro_builder():
     p = subset_intro((), Var("a"), Var("b"), R, R, lambda name: PVar(name))
     j = check((), p)
     assert j.left == Var("a")
-    assert j.rel == expand(Subset(R, R))
+    assert j.rel == subset(R, R)
     assert j.right == Var("b")
 
 
@@ -256,7 +313,7 @@ def test_impprod_intro_builder():
     ctx = (ContextEntry("q", Var("c"), s, Var("d")),)
     p = impprod_intro(ctx, Var("c"), Var("d"), R, s, lambda name: PVar("q"))
     j = check(ctx, p)
-    assert j.rel == expand(ImpProd(R, s))
+    assert j.rel == imp_prod(R, s)
 
 
 def test_conj_intro_builder():
@@ -264,7 +321,7 @@ def test_conj_intro_builder():
     ctx = (ContextEntry("q", App(f, Var("a")), R, App(f, Var("b"))),)
     j = check(ctx, conj_intro(ctx, f, f, PVar("q")))
     assert j.left == Var("a")
-    assert j.rel == expand(DConj(f, R))
+    assert j.rel == dconj(f, R)
     assert j.right == Var("b")
 
 

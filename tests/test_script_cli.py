@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from reltt.surface import parse
 from reltt.syntax import Arrow, Promote, TVar, Var, lam
 
 IDENTITY_PROOF = "proof {name} : [u : a [R] b] |- a [R] b := u"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(source, **kw):
@@ -363,3 +368,37 @@ def test_echoes_are_rendered_only_when_read(monkeypatch):
     assert all(d.message.startswith("proof ") for d in echoes)  # a second read
     assert len(rendered) == 17
     assert all((d.kind, d.span[0] < d.span[1]) == ("note", True) for d in echoes)
+
+
+@pytest.mark.parametrize(
+    "source, form",
+    [
+        ("type T := Dparam(X, X * X)\n", "the parametric datatype"),
+        ("type T := Dind(X, X^)\n", "the inductive datatype"),
+    ],
+)
+def test_cli_malformed_datatype_parameter_is_one_parse_error(tmp_path, capsys, source, form):
+    # The form's span runs from its keyword to its closing parenthesis.
+    f = tmp_path / "malformed.rtt"
+    f.write_text(source)
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_USAGE
+    assert capsys.readouterr().out == (
+        f"{f}:1:11: error[parse-error]: {form} needs a System F-shaped parameter "
+        "(no converse, composition, or promotion)\n"
+    )
+
+
+def test_checking_a_script_does_not_import_the_library_generator():
+    # A fresh interpreter: the one running these tests has imported it already.
+    program = (
+        "import sys\n"
+        "from reltt import cli\n"
+        "code = cli.main(['check', 'corpus/basics.rtt'])\n"
+        "assert code == 0, code\n"
+        "assert 'reltt.prelude' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", program], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

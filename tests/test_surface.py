@@ -34,7 +34,7 @@ from reltt.kernel import (
     PTyLam,
     PVar,
 )
-from reltt.prelude import DConj, IntTypeL, Sum, expand
+from reltt.derived import dconj, int_type_l, sum_
 from reltt.script import prelude_source
 from reltt import surface
 from reltt.surface import (
@@ -111,7 +111,7 @@ def test_unicode_aliases_match_their_ascii_spellings():
 
 
 def test_conjugation_sugar_expands():
-    assert parse_type("f .. R") == expand(DConj(Var("f"), TVar("R")))
+    assert parse_type("f .. R") == dconj(Var("f"), TVar("R"))
 
 
 def test_trailing_primes_are_identifier_characters():
@@ -128,7 +128,7 @@ def test_dotted_names_are_reserved_in_user_source():
 
 
 def test_internalized_typing_binds_tighter_than_composition():
-    want = Comp(expand(IntTypeL(Var("t"), TVar("R"))), TVar("S"))
+    want = Comp(int_type_l(Var("t"), TVar("R")), TVar("S"))
     assert parse_type("[t] R * S") == want
 
 
@@ -137,7 +137,7 @@ def test_converse_binds_tighter_than_composition():
 
 
 def test_sum_binds_tighter_than_arrow():
-    want = Arrow(expand(Sum(TVar("R"), TVar("S"))), TVar("T"))
+    want = Arrow(sum_(TVar("R"), TVar("S")), TVar("T"))
     assert parse_type("R + S -> T") == want
 
 
