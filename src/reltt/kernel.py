@@ -27,8 +27,7 @@ conversion is a hard error, never treated as equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .records import dataclass, field
 from .reduction import DEFAULT_FUEL, DISTINCT, EQUAL, conv_check
 from .syntax import (
     All,

@@ -33,7 +33,6 @@ against the promotion-elimination direction are available behind the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .analysis import PLUS, flip, polarity_holds
@@ -66,6 +65,7 @@ from .kernel import (
     Proof,
     check,
 )
+from .records import dataclass
 from .reduction import DEFAULT_FUEL
 from .syntax import (
     All,
@@ -630,13 +630,17 @@ def numeral(k: int) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _checked(ctx: Context, proof: Proof, fuel: int) -> Proof:
+def _judged(ctx: Context, proof: Proof, fuel: int) -> Judgment:
     try:
-        check(ctx, proof, fuel)
+        return check(ctx, proof, fuel)
     except KernelError as e:
         raise PreludeError(
             BUILDER_MISMATCH, f"constructed proof was rejected: {e}"
         ) from e
+
+
+def _checked(ctx: Context, proof: Proof, fuel: int) -> Proof:
+    _judged(ctx, proof, fuel)
     return proof
 
 
@@ -662,6 +666,35 @@ def _fresh_subject_names(ctx: Context, extra: set[str]) -> tuple[str, str, str]:
     return xl, xr, u
 
 
+def _promoted_pair_intro(
+    ctx: Context,
+    k: Term,
+    t1: Term,
+    t2: Term,
+    dom: RelType,
+    cod: RelType,
+    transform,
+    fuel: int,
+    want: RelType,
+) -> Proof:
+    # The promotion of `k` at t1, the transformer's lambda converted to the
+    # subjects `k t1` and `k t2`, and the converse promotion at t2, paired.
+    # One check gives the judgment, whose type must be the derived form `want`.
+    extra = free_vars(t1)[0] | free_vars(t2)[0] | free_vars(dom)[0] | free_vars(cod)[0]
+    xl, xr, u = _fresh_subject_names(ctx, extra)
+    lam_proof = PLam(u, xl, dom, xr, transform(u))
+    mid1 = App(k, t1)
+    mid2 = App(k, t2)
+    proof = PPair(
+        PIota(t1, k),
+        PPair(PConv(mid1, lam_proof, mid2), PConvI(PIota(t2, k)), mid2),
+        mid1,
+    )
+    if not alpha_eq(_judged(ctx, proof, fuel).rel, want):
+        raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
+    return proof
+
+
 def subset_intro(
     ctx: Context,
     t1: Term,
@@ -677,22 +710,7 @@ def subset_intro(
     return a proof whose subjects are beta-eta equal to x and y at cod.
     """
     ki = App(K_TERM, I_TERM)
-    extra = free_vars(t1)[0] | free_vars(t2)[0] | free_vars(dom)[0] | free_vars(cod)[0]
-    xl, xr, u = _fresh_subject_names(ctx, extra)
-    lam_proof = PLam(u, xl, dom, xr, transform(u))
-    mid1 = App(ki, t1)
-    mid2 = App(ki, t2)
-    proof = PPair(
-        PIota(t1, ki),
-        PPair(PConv(mid1, lam_proof, mid2), PConvI(PIota(t2, ki)), mid2),
-        mid1,
-    )
-    proof = _checked(ctx, proof, fuel)
-    want = subset(dom, cod)
-    got = check(ctx, proof, fuel)
-    if not alpha_eq(got.rel, want):
-        raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
-    return proof
+    return _promoted_pair_intro(ctx, ki, t1, t2, dom, cod, transform, fuel, subset(dom, cod))
 
 
 def impprod_intro(
@@ -706,22 +724,7 @@ def impprod_intro(
 ) -> Proof:
     """Conclude t1 [dom => cod] t2; the transformer's subjects must be
     beta-eta equal to t1 and t2 themselves."""
-    extra = free_vars(t1)[0] | free_vars(t2)[0] | free_vars(dom)[0] | free_vars(cod)[0]
-    xl, xr, u = _fresh_subject_names(ctx, extra)
-    lam_proof = PLam(u, xl, dom, xr, transform(u))
-    mid1 = App(K_TERM, t1)
-    mid2 = App(K_TERM, t2)
-    proof = PPair(
-        PIota(t1, K_TERM),
-        PPair(PConv(mid1, lam_proof, mid2), PConvI(PIota(t2, K_TERM)), mid2),
-        mid1,
-    )
-    proof = _checked(ctx, proof, fuel)
-    want = imp_prod(dom, cod)
-    got = check(ctx, proof, fuel)
-    if not alpha_eq(got.rel, want):
-        raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
-    return proof
+    return _promoted_pair_intro(ctx, K_TERM, t1, t2, dom, cod, transform, fuel, imp_prod(dom, cod))
 
 
 def conj_intro(ctx: Context, t: Term, tp: Term, q: Proof, fuel: int = DEFAULT_FUEL) -> Proof:

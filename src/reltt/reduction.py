@@ -30,8 +30,7 @@ result is "undecided", and callers treat that as failure, not equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import dataclass
 from .syntax import App, Bound, Lam, Term, Var, alpha_eq, bound_occurs, shift_term, subst_bound
 from .syntax import open_term  # noqa: F401  (perfbench/test_perfbench.py checks it stays unwrapped)
 

@@ -25,7 +25,6 @@ dump re-checks each proof under the fuel it was checked with.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -58,6 +57,7 @@ from .kernel import (
     check_declared,
     to_relpf,
 )
+from .records import dataclass, field
 from .reduction import DEFAULT_FUEL, FUEL_EXHAUSTED, normalize
 from .surface import (
     Command,

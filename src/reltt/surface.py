@@ -30,7 +30,8 @@ a type, proof or statement starts with an empty scope. Type binders
 with `syntax.all_` and the form functions. `t .. R` and `t <| p |> t'` begin
 with a term; the parser tries one only where the first token ahead that a
 term cannot contain is `..` or `<|`, so it never parses a term that it then
-throws away.
+throws away. Once it has read the `..` or `<|`, an error in what follows is
+the diagnostic; the text is not re-read as a type or an application.
 
 Renderers produce text that parses back to an alpha-equal tree; statement
 and proof nodes carry source spans as (start, end) offsets for diagnostics.
@@ -39,7 +40,6 @@ and proof nodes carry source spans as (start, end) offsets for diagnostics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .kernel import (
@@ -71,6 +71,7 @@ from .derived import (
     sum_,
     unit,
 )
+from .records import dataclass, field
 from .syntax import (
     All,
     App,
@@ -421,16 +422,18 @@ class _Parser:
         return left
 
     def type_conj(self) -> RelType:
-        # `t .. R`: a term that is not followed by `..` is re-read as a type
+        # `t .. R`: a term that is not followed by `..` is re-read as a type;
+        # once `..` is read, an error in `R` is the error
         save = self.pos
         if self.stops[save] == "DOTDOT":
             try:
                 t = self.term()
+            except ParseError:
+                pass
+            else:
                 if self.keys[self.pos] == "DOTDOT":
                     self.pos += 1
                     return dconj(t, self.type_conj())
-            except ParseError:
-                pass
             self.pos = save
         return self.type_comp()
 
@@ -500,19 +503,20 @@ class _Parser:
     def proof(self) -> Proof:
         save = self.pos
         # conversion `t <| p |> t'` begins with a term; a failed attempt is
-        # re-read as an application
+        # re-read as an application, but once `<|` is read an error is the error
         if self.stops[save] == "LCONV":
             start = self.tokens[save].start
             try:
                 left = self.term()
+            except ParseError:
+                pass
+            else:
                 if self.keys[self.pos] == "LCONV":
                     self.pos += 1
                     body = self.proof()
                     self.expect("RCONV")
                     right = self.term()
                     return PConv(left, body, right, span=(start, self._prev_end()))
-            except ParseError:
-                pass
             self.pos = save
         return self.proof_app()
 

@@ -45,7 +45,8 @@ across a type, so the two index spaces never interact.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+
+from .records import dataclass, field
 
 
 # ---------------------------------------------------------------------------

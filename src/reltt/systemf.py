@@ -36,8 +36,6 @@ untouched territory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import (
     PApp,
     PConv,
@@ -56,6 +54,7 @@ from .kernel import (
     check,
     to_relpf,
 )
+from .records import dataclass
 from .reduction import DEFAULT_FUEL
 from .syntax import (
     All,

@@ -313,11 +313,12 @@ class _Parser:
         save = self.pos
         try:
             t = self.term()
+        except ParseError:
+            pass
+        else:
             if self.at("DOTDOT"):
                 self.next()
                 return dconj(t, self.type_conj())
-        except ParseError:
-            pass
         self.pos = save
         return self.type_comp()
 
@@ -386,14 +387,15 @@ class _Parser:
         save = self.pos
         try:
             left = self.term()
+        except ParseError:
+            pass
+        else:
             if self.at("LCONV"):
                 self.next()
                 body = self.proof()
                 self.expect("RCONV")
                 right = self.term()
                 return PConv(left, body, right, span=(start, self.tokens[self.pos - 1].end))
-        except ParseError:
-            pass
         self.pos = save
         return self.proof_app()
 

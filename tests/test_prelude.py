@@ -33,7 +33,8 @@ from reltt.derived import (
     sum_,
     unit,
 )
-from reltt.kernel import PVar, check
+from reltt import prelude
+from reltt.kernel import PConvI, PVar, check
 from reltt.prelude import (
     NOT_DERIVABLE,
     POLARITY_VIOLATION,
@@ -314,6 +315,42 @@ def test_impprod_intro_builder():
     p = impprod_intro(ctx, Var("c"), Var("d"), R, s, lambda name: PVar("q"))
     j = check(ctx, p)
     assert j.rel == imp_prod(R, s)
+
+
+@pytest.mark.parametrize(
+    "builder, ctx, cod, assumption",
+    [
+        (subset_intro, (), R, None),
+        (impprod_intro, (ContextEntry("q", Var("a"), TVar("S"), Var("b")),), TVar("S"), "q"),
+    ],
+    ids=["subset_intro", "impprod_intro"],
+)
+def test_transformer_builders_check_their_proof_once(builder, ctx, cod, assumption, monkeypatch):
+    calls = []
+
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    def build(transform):
+        return builder(ctx, Var("a"), Var("b"), R, cod, transform)
+
+    monkeypatch.setattr(prelude, "check", counting_check)
+    build(lambda name: PVar(assumption or name))
+    assert len(calls) == 1
+    # A rejected proof and a changed target type keep their kind and message.
+    with pytest.raises(PreludeError) as rejected:
+        build(lambda name: PVar("nope"))
+    assert (rejected.value.kind, rejected.value.message) == (
+        "builder-mismatch",
+        "constructed proof was rejected: unbound-proof-variable: 'nope' is not assumed",
+    )
+    with pytest.raises(PreludeError) as changed:
+        build(lambda name: PConvI(PConvI(PVar(assumption or name))))
+    assert (changed.value.kind, changed.value.message) == (
+        "builder-mismatch",
+        "transformer changed the target type",
+    )
 
 
 def test_conj_intro_builder():

@@ -388,14 +388,41 @@ def test_cli_malformed_datatype_parameter_is_one_parse_error(tmp_path, capsys, s
     )
 
 
+@pytest.mark.parametrize(
+    "source, diagnostic",
+    [
+        (
+            "type T := f .. Dparam(X, X * X)\n",
+            "1:16: error[parse-error]: the parametric datatype needs a System F-shaped "
+            "parameter (no converse, composition, or promotion)",
+        ),
+        (
+            "proof e : [u : x [R] y] |- x [R] y := x <| u |>\n",
+            "2:1: error[parse-error]: expected a term, found end of input",
+        ),
+    ],
+)
+def test_cli_reports_the_parse_error_after_dotdot_or_lconv(tmp_path, capsys, source, diagnostic):
+    # Once `..` or `<|` is read, an error in what follows is the diagnostic;
+    # the text is not re-read as something else.
+    f = tmp_path / "after.rtt"
+    f.write_text(source)
+    assert main(["check", str(f), "--no-prelude"]) == EXIT_USAGE
+    assert capsys.readouterr().out == f"{f}:{diagnostic}\n"
+
+
 def test_checking_a_script_does_not_import_the_library_generator():
     # A fresh interpreter: the one running these tests has imported it already.
+    # Nor does it load `dataclasses` or `inspect`: `reltt.records` makes the
+    # record classes.
     program = (
         "import sys\n"
         "from reltt import cli\n"
         "code = cli.main(['check', 'corpus/basics.rtt'])\n"
         "assert code == 0, code\n"
         "assert 'reltt.prelude' not in sys.modules\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
