@@ -5,12 +5,9 @@ so checking is a single structural recursion that either returns the unique
 judgment a proof synthesizes or raises a `KernelError` with a stable kind.
 
 The same recursion produces the display-level derivation tree (`to_relpf`):
-every node records the rule name, the judgment, and the context in force at
-that point with proof variables dropped. That display context is built once
-at the root and extended only where `PLam` and `PPi` add assumptions, so
-every node under one context shares one tuple. The bridge module reuses these
-nodes to translate accepted proofs into explicit System F derivations, so the
-tree also keeps a reference to the originating proof node.
+every node records the rule name and the judgment. The bridge module reuses
+these nodes to translate accepted proofs into explicit System F derivations,
+so the tree also keeps a reference to the originating proof node.
 
 Side conditions are enforced eagerly:
   (*)  a lambda's subject binders may not occur free in the ambient context,
@@ -199,28 +196,14 @@ RULE_NAMES = {
 }
 
 
-# A context with its proof variables dropped: (left, rel, right) triples.
-DisplayContext = tuple[tuple[Term, RelType, Term], ...]
-
-
 @dataclass(frozen=True)
 class RelPfNode:
-    """One rule instance in the display proof system.
-
-    `context` is the context in force at this node with proof variables
-    dropped: a tuple of (left, rel, right) triples. The derivation builds it
-    once per context, so every node under one context shares one tuple.
-    """
+    """One rule instance in the display proof system."""
 
     rule: str
-    context: DisplayContext
     judgment: Judgment
     children: tuple["RelPfNode", ...]
     proof: Proof = field(compare=False)
-
-
-def _display_ctx(ctx: Context) -> DisplayContext:
-    return tuple((e.left, e.rel, e.right) for e in ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +222,8 @@ def _require_wf(ctx: Context) -> None:
         seen.add(entry.pvar)
 
 
-def _node(
-    p: Proof, shown: DisplayContext, judgment: Judgment, children: tuple[RelPfNode, ...]
-) -> RelPfNode:
-    return RelPfNode(RULE_NAMES[type(p)], shown, judgment, children, p)
+def _node(p: Proof, judgment: Judgment, children: tuple[RelPfNode, ...]) -> RelPfNode:
+    return RelPfNode(RULE_NAMES[type(p)], judgment, children, p)
 
 
 def _conv_side(declared: Term, synthesized: Term, fuel: int, side: str, span) -> None:
@@ -258,20 +239,16 @@ def _conv_side(declared: Term, synthesized: Term, fuel: int, side: str, span) ->
 
 
 def _derive(
-    ctx: Context,
-    shown: DisplayContext,
-    p: Proof,
-    fuel: int,
-    names: tuple[set[str], set[str]] | None,
+    ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]] | None
 ) -> RelPfNode:
-    """Derive `p` under `ctx`; `shown` is `_display_ctx(ctx)`, and `names` is
-    `free_vars(ctx)`, or None until a binder needs it."""
+    """Derive `p` under `ctx`; `names` is `free_vars(ctx)`, or None until a
+    binder needs it."""
     match p:
         case PVar(name):
             entry = ctx_lookup(ctx, name)
             if entry is None:
                 raise KernelError(UNBOUND_PROOF_VARIABLE, f"'{name}' is not assumed", p.span)
-            return _node(p, shown, Judgment(entry.left, entry.rel, entry.right), ())
+            return _node(p, Judgment(entry.left, entry.rel, entry.right), ())
 
         case PLam(pvar, subj_l, rel, subj_r, body):
             if len({pvar, subj_l, subj_r}) != 3:
@@ -288,8 +265,7 @@ def _derive(
             terms, types = names or free_vars(ctx)
             ann_terms, ann_types = free_vars(rel)
             inner = (terms | ann_terms | {subj_l, subj_r}, types | ann_types)
-            shown_in = shown + ((entry.left, rel, entry.right),)
-            bnode = _derive(ctx + (entry,), shown_in, body, fuel, inner)
+            bnode = _derive(ctx + (entry,), body, fuel, inner)
             bj = bnode.judgment
             res_terms, _ = free_vars(bj.rel)
             for binder in (subj_l, subj_r):
@@ -300,11 +276,11 @@ def _derive(
                         p.span,
                     )
             judgment = Judgment(lam(subj_l, bj.left), Arrow(rel, bj.rel), lam(subj_r, bj.right))
-            return _node(p, shown, judgment, (bnode,))
+            return _node(p, judgment, (bnode,))
 
         case PApp(fn, arg):
-            fnode = _derive(ctx, shown, fn, fuel, names)
-            anode = _derive(ctx, shown, arg, fuel, names)
+            fnode = _derive(ctx, fn, fuel, names)
+            anode = _derive(ctx, arg, fuel, names)
             fj, aj = fnode.judgment, anode.judgment
             if not isinstance(fj.rel, Arrow):
                 raise KernelError(NOT_AN_ARROW, "application head does not have an arrow type", p.span)
@@ -315,19 +291,19 @@ def _derive(
                     p.span,
                 )
             judgment = Judgment(App(fj.left, aj.left), fj.rel.cod, App(fj.right, aj.right))
-            return _node(p, shown, judgment, (fnode, anode))
+            return _node(p, judgment, (fnode, anode))
 
         case PTyApp(fn, rel):
-            fnode = _derive(ctx, shown, fn, fuel, names)
+            fnode = _derive(ctx, fn, fuel, names)
             fj = fnode.judgment
             if not isinstance(fj.rel, All):
                 raise KernelError(NOT_A_UNIVERSAL, "type application head is not universal", p.span)
             judgment = Judgment(fj.left, open_type(fj.rel.body, rel), fj.right)
-            return _node(p, shown, judgment, (fnode,))
+            return _node(p, judgment, (fnode,))
 
         case PTyLam(tvar, body):
             names = names or free_vars(ctx)
-            bnode = _derive(ctx, shown, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names)
             if tvar in names[1]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
@@ -336,35 +312,35 @@ def _derive(
                 )
             bj = bnode.judgment
             judgment = Judgment(bj.left, All(tvar, close_type(bj.rel, tvar)), bj.right)
-            return _node(p, shown, judgment, (bnode,))
+            return _node(p, judgment, (bnode,))
 
         case PConv(left, body, right):
-            bnode = _derive(ctx, shown, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             _conv_side(left, bj.left, fuel, "left", p.span)
             _conv_side(right, bj.right, fuel, "right", p.span)
-            return _node(p, shown, Judgment(left, bj.rel, right), (bnode,))
+            return _node(p, Judgment(left, bj.rel, right), (bnode,))
 
         case PConvI(body):
-            bnode = _derive(ctx, shown, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
-            return _node(p, shown, Judgment(bj.right, Conv(bj.rel), bj.left), (bnode,))
+            return _node(p, Judgment(bj.right, Conv(bj.rel), bj.left), (bnode,))
 
         case PConvE(body):
-            bnode = _derive(ctx, shown, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not isinstance(bj.rel, Conv):
                 raise KernelError(
                     NOT_A_CONVERSE, "converse elimination needs a converse type", p.span
                 )
-            return _node(p, shown, Judgment(bj.right, bj.rel.rel, bj.left), (bnode,))
+            return _node(p, Judgment(bj.right, bj.rel.rel, bj.left), (bnode,))
 
         case PIota(left, promoted):
             judgment = Judgment(left, Promote(promoted), App(promoted, left))
-            return _node(p, shown, judgment, ())
+            return _node(p, judgment, ())
 
         case PRho(guide_var, guide_l, guide_r, eq, body):
-            enode = _derive(ctx, shown, eq, fuel, names)
+            enode = _derive(ctx, eq, fuel, names)
             ej = enode.judgment
             if not isinstance(ej.rel, Promote):
                 raise KernelError(
@@ -373,7 +349,7 @@ def _derive(
             applied = App(ej.rel.term, ej.left)
             expect_l = subst_term_multi({guide_var: applied}, guide_l)
             expect_r = subst_term_multi({guide_var: applied}, guide_r)
-            bnode = _derive(ctx, shown, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not (alpha_eq(bj.left, expect_l) and alpha_eq(bj.right, expect_r)):
                 raise KernelError(
@@ -383,11 +359,11 @@ def _derive(
                 )
             result = subst_term_multi({guide_var: ej.right}, guide_l)
             result_r = subst_term_multi({guide_var: ej.right}, guide_r)
-            return _node(p, shown, Judgment(result, bj.rel, result_r), (enode, bnode))
+            return _node(p, Judgment(result, bj.rel, result_r), (enode, bnode))
 
         case PPair(left, right, mid):
-            lnode = _derive(ctx, shown, left, fuel, names)
-            rnode = _derive(ctx, shown, right, fuel, names)
+            lnode = _derive(ctx, left, fuel, names)
+            rnode = _derive(ctx, right, fuel, names)
             lj, rj = lnode.judgment, rnode.judgment
             if not (alpha_eq(lj.right, rj.left) and alpha_eq(lj.right, mid)):
                 raise KernelError(
@@ -396,7 +372,7 @@ def _derive(
                     p.span,
                 )
             judgment = Judgment(lj.left, Comp(lj.rel, rj.rel), rj.right)
-            return _node(p, shown, judgment, (lnode, rnode))
+            return _node(p, judgment, (lnode, rnode))
 
         case PPi(scrutinee, mid_var, pvar_l, pvar_r, body):
             if len({mid_var, pvar_l, pvar_r}) != 3:
@@ -405,7 +381,7 @@ def _derive(
                     "composition eliminator binders must be pairwise distinct",
                     p.span,
                 )
-            snode = _derive(ctx, shown, scrutinee, fuel, names)
+            snode = _derive(ctx, scrutinee, fuel, names)
             sj = snode.judgment
             if not isinstance(sj.rel, Comp):
                 raise KernelError(
@@ -423,7 +399,7 @@ def _derive(
             terms, types = names or free_vars(ctx)
             scrut_terms, scrut_types = free_vars(sj)
             inner = (terms | scrut_terms | {mid_var}, types | scrut_types)
-            bnode = _derive(ctx + new, shown + _display_ctx(new), body, fuel, inner)
+            bnode = _derive(ctx + new, body, fuel, inner)
             bj = bnode.judgment
             if mid_var in terms or mid_var in scrut_terms or mid_var in free_vars(bj)[0]:
                 raise KernelError(
@@ -431,7 +407,7 @@ def _derive(
                     f"middle variable '{mid_var}' escapes the composition eliminator",
                     p.span,
                 )
-            return _node(p, shown, bj, (snode, bnode))
+            return _node(p, bj, (snode, bnode))
 
     raise TypeError(f"not a proof: {p!r}")
 
@@ -439,7 +415,7 @@ def _derive(
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, _display_ctx(ctx), p, fuel, None).judgment
+    return _derive(ctx, p, fuel, None).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -462,4 +438,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, _display_ctx(ctx), p, fuel, None)
+    return _derive(ctx, p, fuel, None)

@@ -94,6 +94,7 @@ from .systemf import (
     DVar,
     FDerivation,
     embed_f,
+    pair_derivation,
     pair_term,
     project_type,
     rename_ftvars,
@@ -339,24 +340,7 @@ def _k_deriv() -> FDerivation:
 
 
 def _pair_deriv() -> FDerivation:
-    a, b = TVar("A"), TVar("B")
-    inner = DAbs(
-        "x",
-        a,
-        DAbs(
-            "y",
-            b,
-            DGen(
-                "Z",
-                DAbs(
-                    "c",
-                    Arrow(a, Arrow(b, TVar("Z"))),
-                    DApp(DApp(DVar("c"), DVar("x")), DVar("y")),
-                ),
-            ),
-        ),
-    )
-    return DGen("A", DGen("B", inner))
+    return DGen("A", DGen("B", pair_derivation((), TVar("A"), TVar("B"))))
 
 
 def _fst_deriv() -> FDerivation:

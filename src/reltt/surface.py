@@ -27,9 +27,20 @@ its binder, so an identifier in scope becomes its `Bound` index at once and
 every `Lam` is built once, never closed afterwards. Every term entered from
 a type, proof or statement starts with an empty scope. Type binders
 (`all X.`, `rec X.`, and the binders that sugar expansion adds) are closed
-with `syntax.all_` and the form functions. `t .. R` and `t <| p |> t'` begin
-with a term; the parser tries one only where the first token ahead that a
-term cannot contain is `..` or `<|`, so it never parses a term that it then
+with `syntax.all_` and the form functions.
+
+Types are read by one precedence climber, `type_(level)`, over the table
+`_TYPE_BINARY`. The levels, loosest first: 0 for `all X.`, `rec X.` and at
+most one infix `<=`, `=>` or `~~` between two level-1 types; 1 for `->`;
+2 for `+`; 3 for the prefix `t .. R`, whose `R` is read at level 3; 4 for
+`*`; 5 for the prefix `[t] R`; and tightest the postfix `^` and `R [t]` on
+an atom. Every binary operator is right-associative, and a binder right
+after `->` starts a level-0 type. `type_unary` reads the prefix forms, a
+chain `t1 .. t2 .. R` in a loop, and the atom with its postfix loop.
+
+`t .. R` and `t <| p |> t'` begin with a term, and both go through one term
+attempt, `term_before`. It tries a term only where the first token ahead that
+a term cannot contain is `..` or `<|`, so it never parses a term that it then
 throws away. Once it has read the `..` or `<|`, an error in what follows is
 the diagnostic; the text is not re-read as a type or an application.
 
@@ -295,7 +306,11 @@ _TERM_KEYS = frozenset({"IDENT", "LPAREN", "RPAREN", "LAMBDA", "DOT"})
 _TERM_ARG = frozenset({"IDENT", "LPAREN"})
 _POSTFIX = frozenset({"HAT", "LBRACK"})
 _PROOF_ARG = frozenset({"IDENT", "LPAREN", "iota", "conv_i", "conv_e"})
+# The binary type operators, key -> (level, form); a larger level binds
+# tighter. The module docstring lists the levels of the other type forms.
+_TYPE_BINARY = {"ARROW": (1, Arrow), "PLUS": (2, sum_), "STAR": (4, Comp)}
 _TYPE_INFIX = {"SUBSET": subset, "DARROW": imp_prod, "RELEQ": rel_eq}
+_BINDERS = frozenset({"all", "rec"})
 
 
 class _Parser:
@@ -344,8 +359,14 @@ class _Parser:
     # -- terms --
 
     def term(self) -> Term:
-        if self.keys[self.pos] != "LAMBDA":
-            return self.term_app()
+        keys = self.keys
+        if keys[self.pos] != "LAMBDA":
+            t = self.term_atom()
+            # a bare lambda argument is not taken: it must be parenthesized, or
+            # it would swallow the rest of the input silently
+            while keys[self.pos] in _TERM_ARG:
+                t = App(t, self.term_atom())
+            return t
         self.pos += 1
         name = self.ident()
         self.expect("DOT")
@@ -363,14 +384,6 @@ class _Parser:
                 scope[name] = outer
         return Lam(name, body)
 
-    def term_app(self) -> Term:
-        t = self.term_atom()
-        # a bare lambda argument is not taken: it must be parenthesized, or
-        # it would swallow the rest of the input silently
-        while self.keys[self.pos] in _TERM_ARG:
-            t = App(t, self.term_atom())
-        return t
-
     def term_atom(self) -> Term:
         pos = self.pos
         key = self.keys[pos]
@@ -387,74 +400,68 @@ class _Parser:
         t = self.tokens[pos]
         raise ParseError(f"expected a term, found {t.value or 'end of input'}", (t.start, t.end))
 
+    def term_before(self, key: str) -> Term | None:
+        """The term in front of `key` (`..` or `<|`), with `key` read; None,
+        with nothing read, where no term is followed by `key`."""
+        save = self.pos
+        if self.stops[save] != key:
+            return None
+        try:
+            t = self.term()
+        except ParseError:
+            pass
+        else:
+            if self.keys[self.pos] == key:
+                self.pos += 1
+                return t
+        self.pos = save
+        return None
+
     # -- types --
 
-    def type_(self) -> RelType:
-        key = self.keys[self.pos]
-        if key == "all" or key == "rec":
+    def type_(self, level: int = 0) -> RelType:
+        """A type whose binary operators all have at least `level` (see `_TYPE_BINARY`)."""
+        keys = self.keys
+        key = keys[self.pos]
+        if level == 0 and key in _BINDERS:
             self.pos += 1
             name = self.ident()
             self.expect("DOT")
             body = self.type_()
             return all_(name, body) if key == "all" else rec(name, body)
-        left = self.type_arrow()
-        form = _TYPE_INFIX.get(self.keys[self.pos])
-        if form is None:
-            return left
-        self.pos += 1
-        return form(left, self.type_arrow())
-
-    def type_arrow(self) -> RelType:
-        dom = self.type_sum()
-        if self.keys[self.pos] != "ARROW":
-            return dom
-        self.pos += 1
-        key = self.keys[self.pos]
-        if key == "all" or key == "rec":
-            return Arrow(dom, self.type_())
-        return Arrow(dom, self.type_arrow())
-
-    def type_sum(self) -> RelType:
-        left = self.type_conj()
-        if self.keys[self.pos] == "PLUS":
+        left = self.type_unary(level)
+        while (op := _TYPE_BINARY.get(keys[self.pos])) is not None and op[0] >= level:
+            prec, form = op
             self.pos += 1
-            return sum_(left, self.type_sum())
+            # a binder right after `->` extends as far as a type at level 0
+            left = form(left, self.type_(0 if prec == 1 and keys[self.pos] in _BINDERS else prec))
+        if level == 0 and (form := _TYPE_INFIX.get(keys[self.pos])) is not None:
+            self.pos += 1
+            left = form(left, self.type_(1))
         return left
 
-    def type_conj(self) -> RelType:
-        # `t .. R`: a term that is not followed by `..` is re-read as a type;
-        # once `..` is read, an error in `R` is the error
-        save = self.pos
-        if self.stops[save] == "DOTDOT":
-            try:
-                t = self.term()
-            except ParseError:
-                pass
-            else:
-                if self.keys[self.pos] == "DOTDOT":
-                    self.pos += 1
-                    return dconj(t, self.type_conj())
-            self.pos = save
-        return self.type_comp()
-
-    def type_comp(self) -> RelType:
-        left = self.type_prefixed()
-        if self.keys[self.pos] == "STAR":
-            self.pos += 1
-            return Comp(left, self.type_comp())
-        return left
-
-    def type_prefixed(self) -> RelType:
-        if self.keys[self.pos] == "LBRACK":
+    def type_unary(self, level: int) -> RelType:
+        """The prefix forms `t .. R` (at levels up to 3) and `[t] R`, or an
+        atom with its postfix `^` and `R [t]`."""
+        if level <= 3:
+            # a chain `t1 .. t2 .. R` is read in a loop, so its length costs no stack
+            conj = []
+            while (t := self.term_before("DOTDOT")) is not None:
+                conj.append(t)
+            if conj:
+                # `R` is at level 3; level 4 takes the same operators and skips
+                # the term attempt that just failed here
+                r = self.type_(4)
+                for t in reversed(conj):
+                    r = dconj(t, r)
+                return r
+        keys = self.keys
+        if keys[self.pos] == "LBRACK":
             self.pos += 1
             t = self.term()
             self.expect("RBRACK")
-            return int_type_l(t, self.type_prefixed())
-        return self.type_postfixed()
-
-    def type_postfixed(self) -> RelType:
+            return int_type_l(t, self.type_unary(5))
         r = self.type_atom()
-        keys = self.keys
         while (key := keys[self.pos]) in _POSTFIX:
             self.pos += 1
             if key == "HAT":
@@ -501,24 +508,14 @@ class _Parser:
     # -- proofs --
 
     def proof(self) -> Proof:
-        save = self.pos
-        # conversion `t <| p |> t'` begins with a term; a failed attempt is
-        # re-read as an application, but once `<|` is read an error is the error
-        if self.stops[save] == "LCONV":
-            start = self.tokens[save].start
-            try:
-                left = self.term()
-            except ParseError:
-                pass
-            else:
-                if self.keys[self.pos] == "LCONV":
-                    self.pos += 1
-                    body = self.proof()
-                    self.expect("RCONV")
-                    right = self.term()
-                    return PConv(left, body, right, span=(start, self._prev_end()))
-            self.pos = save
-        return self.proof_app()
+        start = self.tokens[self.pos].start
+        left = self.term_before("LCONV")
+        if left is None:
+            return self.proof_app()
+        body = self.proof()
+        self.expect("RCONV")
+        right = self.term()
+        return PConv(left, body, right, span=(start, self._prev_end()))
 
     def proof_app(self) -> Proof:
         p = self.proof_atom()

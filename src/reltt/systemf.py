@@ -441,7 +441,7 @@ def _project_node(delta: FContext, node: RelPfNode) -> FDerivation:
             left, right = node.children
             a = project_type(left.judgment.rel)
             b = project_type(right.judgment.rel)
-            pair_d = _pair_derivation(delta, a, b)
+            pair_d = pair_derivation(delta, a, b)
             return DApp(
                 DApp(pair_d, _project_node(delta, left)),
                 _project_node(delta, right),
@@ -467,7 +467,7 @@ def _identity_derivation(delta: FContext) -> FDerivation:
     return DGen(x_ty, DAbs(x_tm, TVar(x_ty), DVar(x_tm)))
 
 
-def _pair_derivation(delta: FContext, a: RelType, b: RelType) -> FDerivation:
+def pair_derivation(delta: FContext, a: RelType, b: RelType) -> FDerivation:
     """The Church pair constructor typed at A -> B -> (A x B)."""
     names = {n for n, _ in delta}
     x = fresh("x", names)

@@ -1,11 +1,9 @@
 """The kernel derivation that re-collected free names at every binder.
 
 A test oracle only, kept verbatim: `_derive` calls `free_vars(ctx)` on the
-whole context at every `PLam`, `PTyLam` and `PPi`, and `_node` rebuilds the
-display context at every node, where `reltt.kernel` passes the context's
-name sets and one shared display context down the derivation. `test_kernel`
-checks that both give equal judgments, equal derivation trees and equal
-errors.
+whole context at every `PLam`, `PTyLam` and `PPi`, where `reltt.kernel`
+passes the context's name sets down the derivation. `test_kernel` checks that
+both give equal judgments, equal derivation trees and equal errors.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from reltt.kernel import (
     Proof,
     RelPfNode,
     _conv_side,
-    _display_ctx,
     _require_wf,
 )
 from reltt.reduction import DEFAULT_FUEL
@@ -239,7 +236,7 @@ def _derive(ctx: Context, p: Proof, fuel: int) -> RelPfNode:
 
 
 def _node(p: Proof, ctx: Context, judgment: Judgment, children: tuple[RelPfNode, ...]) -> RelPfNode:
-    return RelPfNode(RULE_NAMES[type(p)], _display_ctx(ctx), judgment, children, p)
+    return RelPfNode(RULE_NAMES[type(p)], judgment, children, p)
 
 
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:

@@ -332,30 +332,3 @@ def test_kernel_matches_the_kernel_that_recollects_free_names(monkeypatch):
     # whose proof derives and only differs from its declared judgment.
     assert rejected == len(negatives) - 1
 
-
-def test_nodes_under_one_context_share_one_context_tuple():
-    # The display context is built once at the root and extended only where a
-    # rule adds assumptions: the body of arrow-intro (one entry) and of
-    # composition-elim (two); every other child shares its parent's tuple.
-    inputs = [(e.ctx, e.proof, e.fuel) for e in prelude_env().proofs.values()]
-    inputs.append((*bool_discrimination(R), 1000))
-    pi = PPi(PVar("w"), "m", "p", "q", PConvI(PIota(Var("a"), Var("b"))))
-    inputs.append(((entry("w", "a", RS, "c"),), PLam("v", "x", R, "y", pi), 1000))
-    extended = {"arrow-intro": (0, 1), "composition-elim": (1, 2)}
-    seen_rules = set()
-    for ctx, proof, fuel in inputs:
-        root = to_relpf(ctx, proof, fuel)
-        assert root.context == tuple((e.left, e.rel, e.right) for e in ctx)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            seen_rules.add(node.rule)
-            for k, child in enumerate(node.children):
-                at, added = extended.get(node.rule, (None, 0))
-                if k == at:
-                    assert len(child.context) == len(node.context) + added
-                    assert child.context[: len(node.context)] == node.context
-                else:
-                    assert child.context is node.context
-                stack.append(child)
-    assert {"arrow-intro", "composition-elim", "forall-intro"} <= seen_rules

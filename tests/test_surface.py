@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from array import array
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -505,3 +506,41 @@ def test_parser_matches_the_reference_parser():
         parsed += isinstance(got, str)
     assert len(cases) > 1000
     assert 0.3 < parsed / len(cases) < 0.8
+
+
+_TYPE_OPERANDS = [
+    f"{prefix}X{postfix}"
+    for prefix in ("", "[t] ", "t .. ", "all Y. ", "rec Y. ")
+    for postfix in ("", "^", " [t]")
+]
+_TYPE_OPERATORS = ["->", "+", "*", "<=", "=>", "~~"]
+
+
+def test_type_operators_combine_as_in_the_reference_parser():
+    # Every prefix and postfix form as an operand, alone, around one binary
+    # operator, and (a seeded sample) around two: the sugar that rendered
+    # core types never reach, and binders right after an operator.
+    one = [f"{a} {op} {b}" for a in _TYPE_OPERANDS for op in _TYPE_OPERATORS for b in _TYPE_OPERANDS]
+    two = [
+        f"{a} {op} {b} {op2} {c}"
+        for a, op, b, op2, c in random.Random(909).sample(
+            list(product(_TYPE_OPERANDS, _TYPE_OPERATORS, _TYPE_OPERANDS, _TYPE_OPERATORS, _TYPE_OPERANDS)),
+            2000,
+        )
+    ]
+    parsed = 0
+    for text in _TYPE_OPERANDS + one + two:
+        got = _outcome(parse_type, text, False)
+        assert got == _outcome(reference_parser.parse_type, text, False), text
+        parsed += isinstance(got, str)
+    assert 0.2 < parsed / (len(_TYPE_OPERANDS) + len(one) + len(two)) < 0.8
+
+
+def test_nested_types_terms_and_chains_parse_at_the_stock_recursion_limit(default_recursion_limit):
+    # One frame per operator in a chain, three per type parenthesis and two
+    # per term parenthesis; a chain of `t ..` is read in a loop.
+    parse_type("(" * 300 + "X" + ")" * 300)
+    for chain in ("X -> ", "X * ", "t .. ", "[t] ", "all Y. "):
+        parse_type(chain * 900 + "X")
+    parse_type("X -> all Y. " * 300 + "X")
+    parse_term("(" * 400 + "x" + ")" * 400)
