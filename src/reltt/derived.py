@@ -152,20 +152,25 @@ def compose_terms(t: Term, tp: Term) -> Term:
 
 def gen_fmap(x: str, r: RelType) -> Term:
     """The functorial map term, one equation per type constructor."""
+    # F-shape is hereditary, so one check of the whole type covers every part.
     require_f_shaped(r, "the functorial map")
+    return _fmap(x, r)
+
+
+def _fmap(x: str, r: RelType) -> Term:
     match r:
         case TVar(n):
             return I_TERM if n == x else App(K_TERM, I_TERM)
         case Arrow(dom, cod):
-            fm_dom = gen_fmap(x, dom)
-            fm_cod = gen_fmap(x, cod)
+            fm_dom = _fmap(x, dom)
+            fm_cod = _fmap(x, cod)
             body = compose_terms(
                 compose_terms(App(fm_cod, Var("f")), Var("a")), App(fm_dom, Var("f"))
             )
             return lam("f", lam("a", body))
         case All(h, b):
             y = fresh(h or "Y", {x} | free_vars(r)[1])
-            inner = gen_fmap(x, open_type(b, TVar(y)))
+            inner = _fmap(x, open_type(b, TVar(y)))
             return lam("f", App(inner, Var("f")))
         case TBound(_):
             raise ValueError("gen_fmap expects a locally closed type")

@@ -44,8 +44,12 @@ a term cannot contain is `..` or `<|`, so it never parses a term that it then
 throws away. Once it has read the `..` or `<|`, an error in what follows is
 the diagnostic; the text is not re-read as a type or an application.
 
-Renderers produce text that parses back to an alpha-equal tree; statement
-and proof nodes carry source spans as (start, end) offsets for diagnostics.
+Renderers produce text that parses back to an alpha-equal tree. They print
+without opening binders, dispatch on the node's class, and print an
+application spine, a chain of binders or a chain of `->` or `*` in one loop,
+so none of these costs a Python frame per node (see the comment above
+`_scope`). Statement and proof nodes carry source spans as
+(start, end) offsets for diagnostics.
 """
 
 from __future__ import annotations
@@ -100,7 +104,6 @@ from .syntax import (
     Term,
     Var,
     all_,
-    fresh,
 )
 from .systemf import DOT_SUFFIX
 
@@ -741,136 +744,208 @@ def parse_proof(source: str, allow_dotted: bool = False) -> Proof:
 # `env[-1-i]`, or as `?i` when it dangles out of the rendered term. A binder
 # keeps its hint unless the hint clashes with a name its body can see: a free
 # name of the body, or the name of an enclosing binder that one of the body's
-# dangling indices points to. `_term_scope`/`_type_scope` collect both in one
-# bottom-up pass per render call, memoized by node identity, so shared
-# subterms are scanned once. Each name is the one `fresh` would pick against
+# dangling indices points to. Each name is the one `fresh` would pick against
 # the free names of the body opened with the enclosing binders' names, which
 # is what makes the output parse back alpha-equal.
-
-_EMPTY: frozenset = frozenset()
-
-
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _term_scope(t: Term, memo: dict) -> tuple[frozenset[str], frozenset[int]]:
-    """Free names of `t`, and the indices that dangle out of `t` (counted from outside `t`)."""
-    key = id(t)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    ty = type(t)
-    if ty is App:
-        fn_names, fn_ixs = _term_scope(t.fn, memo)
-        arg_names, arg_ixs = _term_scope(t.arg, memo)
-        found = (_union(fn_names, arg_names), _union(fn_ixs, arg_ixs))
-    elif ty is Lam:
-        names, ixs = _term_scope(t.body, memo)
-        found = (names, frozenset(i - 1 for i in ixs if i) if ixs else ixs)
-    elif ty is Var:
-        found = (frozenset((t.name,)), _EMPTY)
-    elif ty is Bound:
-        found = (_EMPTY, frozenset((t.index,)))
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    memo[key] = found
-    return found
+#
+# A node's scope is two integers: a mask of its free names, one bit per name
+# in `bits` (a table that grows during one render call), and a mask of the
+# indices that dangle out of it, bit `i` for index `i`. An application ORs its
+# children's masks and a binder shifts its body's index mask right by one.
+# `_scope` fills `memo` bottom-up, keyed by node identity, so shared subterms
+# are scanned once; one function serves terms and types, since their binders
+# scope alike. It walks down one child per node in a loop (an application's
+# function, a binder's body, the right side of `->` and `*`, a converse's
+# operand) and recurses only into the other child.
+#
+# The renderers dispatch on `type(x) is C`, as reduction does, and print an
+# application spine, a chain of binders and a chain of `->` or `*` in one
+# loop with one join, so none of these recurses along its length.
 
 
-def _type_scope(r: RelType, memo: dict) -> tuple[frozenset[str], frozenset[int]]:
-    """Free type names of `r`, and the type indices that dangle out of `r`."""
-    key = id(r)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    ty = type(r)
-    if ty is Arrow or ty is Comp:
-        x, y = (r.dom, r.cod) if ty is Arrow else (r.left, r.right)
-        x_names, x_ixs = _type_scope(x, memo)
-        y_names, y_ixs = _type_scope(y, memo)
-        found = (_union(x_names, y_names), _union(x_ixs, y_ixs))
-    elif ty is All:
-        names, ixs = _type_scope(r.body, memo)
-        found = (names, frozenset(i - 1 for i in ixs if i) if ixs else ixs)
-    elif ty is Conv:
-        found = _type_scope(r.rel, memo)
-    elif ty is TVar:
-        found = (frozenset((r.name,)), _EMPTY)
-    elif ty is TBound:
-        found = (_EMPTY, frozenset((r.index,)))
-    elif ty is Promote:  # terms contain no type variables
-        found = (_EMPTY, _EMPTY)
-    else:
-        raise TypeError(f"not a type: {r!r}")
-    memo[key] = found
-    return found
+def _scope(x: Term | RelType, memo: dict, bits: dict) -> tuple[int, int]:
+    """Free names of a term or type as a mask over `bits`, and the indices that dangle out of it."""
+    path = []
+    while True:
+        found = memo.get(id(x))
+        if found is not None:
+            names, ixs = found
+            break
+        ty = type(x)
+        if ty is App:
+            path.append(x)
+            x = x.fn
+        elif ty is Lam or ty is All:
+            path.append(x)
+            x = x.body
+        elif ty is Arrow:
+            path.append(x)
+            x = x.cod
+        elif ty is Comp:
+            path.append(x)
+            x = x.right
+        elif ty is Conv:
+            path.append(x)
+            x = x.rel
+        elif ty is Var or ty is TVar:
+            names = bits.get(x.name) or _new_bit(x.name, bits)
+            ixs = 0
+            break
+        elif ty is Bound or ty is TBound:
+            names, ixs = 0, 1 << x.index
+            break
+        elif ty is Promote:  # terms contain no type variables
+            names = ixs = 0
+            break
+        else:
+            raise TypeError(f"not a term or type: {x!r}")
+    for node in reversed(path):
+        ty = type(node)
+        if ty is Lam or ty is All:
+            ixs >>= 1
+        elif ty is not Conv:
+            other = node.arg if ty is App else node.dom if ty is Arrow else node.left
+            ty = type(other)
+            if ty is Var or ty is TVar:
+                names |= bits.get(other.name) or _new_bit(other.name, bits)
+            elif ty is Bound or ty is TBound:
+                ixs |= 1 << other.index
+            else:
+                other_names, other_ixs = _scope(other, memo, bits)
+                names |= other_names
+                ixs |= other_ixs
+        memo[id(node)] = (names, ixs)
+    return names, ixs
 
 
-def _binder_name(hint: str, scope: tuple[frozenset[str], frozenset[int]], env: list[str]) -> str:
-    """The name a binder prints under: its hint, unless that clashes with a visible name."""
+def _new_bit(name: str, bits: dict) -> int:
+    bit = bits[name] = 1 << len(bits)
+    return bit
+
+
+def _binder_name(hint: str, scope: tuple[int, int], env: list[str], bits: dict) -> str:
+    """The name a binder prints under: its hint, unless that clashes with a visible name.
+
+    Every name in `env` already has its bit, since each binder's name gets
+    one here.
+    """
     names, ixs = scope
     depth = len(env)
-    outer = {env[-1 - i] for i in ixs if i < depth}
-    return fresh(hint, names.union(outer) if outer else names)
+    ixs &= (1 << depth) - 1  # the enclosing binders that the body refers to
+    while ixs:
+        low = ixs & -ixs
+        names |= bits[env[depth - low.bit_length()]]
+        ixs ^= low
+    name, n = hint, 0
+    while bits.get(name, 0) & names:
+        n += 1
+        name = f"{hint}{n}"
+    if name not in bits:
+        _new_bit(name, bits)
+    return name
 
 
 def render_term(t: Term) -> str:
-    return _rt(t, 0, [], {})
+    return _rt(t, 0, [], {}, {})
 
 
-def _rt(t: Term, prec: int, env: list[str], memo: dict) -> str:
-    # prec 0: lambda body; 1: application; 2: atom
-    match t:
-        case Var(n):
-            return n
-        case Bound(i):
-            return env[-1 - i] if i < len(env) else f"?{i}"
-        case Lam(h, b):
-            nm = _binder_name(h or "x", _term_scope(t, memo), env)
+def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict) -> str:
+    # prec 0: lambda body; 1: application head; 2: argument
+    ty = type(t)
+    if ty is App:
+        args = []
+        while ty is App:
+            args.append(t.arg)
+            t = t.fn
+            ty = type(t)
+        depth = len(env)
+        parts = [_rt(t, 1, env, memo, bits)]
+        for a in reversed(args):
+            ty = type(a)
+            if ty is Bound:
+                i = a.index
+                parts.append(env[-1 - i] if i < depth else f"?{i}")
+            elif ty is Var:
+                parts.append(a.name)
+            else:
+                parts.append(_rt(a, 2, env, memo, bits))
+        s = " ".join(parts)
+        return f"({s})" if prec > 1 else s
+    if ty is Bound:
+        i = t.index
+        return env[-1 - i] if i < len(env) else f"?{i}"
+    if ty is Var:
+        return t.name
+    if ty is Lam:
+        depth = len(env)
+        parts = []
+        while ty is Lam:
+            scope = memo.get(id(t)) or _scope(t, memo, bits)
+            nm = _binder_name(t.hint or "x", scope, env, bits)
             env.append(nm)
-            body = _rt(b, 0, env, memo)
-            env.pop()
-            s = f"\\{nm}. {body}"
-            return f"({s})" if prec > 0 else s
-        case App(f, a):
-            s = f"{_rt(f, 1, env, memo)} {_rt(a, 2, env, memo)}"
-            return f"({s})" if prec > 1 else s
+            parts.append(f"\\{nm}.")
+            t = t.body
+            ty = type(t)
+        parts.append(_rt(t, 0, env, memo, bits))
+        del env[depth:]
+        s = " ".join(parts)
+        return f"({s})" if prec > 0 else s
     raise TypeError(f"not a term: {t!r}")
 
 
 def render_type(r: RelType) -> str:
-    return _rr(r, 0, [], {})
+    return _rr(r, 0, [], {}, {})
 
 
-def _rr(r: RelType, prec: int, env: list[str], memo: dict) -> str:
+def _rr(r: RelType, prec: int, env: list[str], memo: dict, bits: dict) -> str:
     # prec 0: quantifier body; 1: arrow; 2: composition; 3: converse; 4: atom
-    match r:
-        case TVar(n):
-            return n
-        case TBound(i):
-            return env[-1 - i] if i < len(env) else f"?{i}"
-        case All(h, b):
-            nm = _binder_name(h or "X", _type_scope(r, memo), env)
+    ty = type(r)
+    if ty is TVar:
+        return r.name
+    if ty is TBound:
+        i = r.index
+        return env[-1 - i] if i < len(env) else f"?{i}"
+    if ty is Arrow:
+        parts = []
+        while ty is Arrow:
+            parts.append(_rr(r.dom, 2, env, memo, bits))
+            r = r.cod
+            ty = type(r)
+        parts.append(_rr(r, 1, env, memo, bits))
+        s = " -> ".join(parts)
+        return f"({s})" if prec > 1 else s
+    if ty is All:
+        depth = len(env)
+        parts = []
+        while ty is All:
+            scope = memo.get(id(r)) or _scope(r, memo, bits)
+            nm = _binder_name(r.hint or "X", scope, env, bits)
             env.append(nm)
-            body = _rr(b, 0, env, memo)
-            env.pop()
-            s = f"all {nm}. {body}"
-            return f"({s})" if prec > 0 else s
-        case Arrow(d, c):
-            s = f"{_rr(d, 2, env, memo)} -> {_rr(c, 1, env, memo)}"
-            return f"({s})" if prec > 1 else s
-        case Comp(l, rr):
-            s = f"{_rr(l, 3, env, memo)} * {_rr(rr, 2, env, memo)}"
-            return f"({s})" if prec > 2 else s
-        case Conv(b):
-            return f"{_rr(b, 4, env, memo)}^"
-        case Promote(t):
-            return "{" + render_term(t) + "}"
+            parts.append(f"all {nm}.")
+            r = r.body
+            ty = type(r)
+        parts.append(_rr(r, 0, env, memo, bits))
+        del env[depth:]
+        s = " ".join(parts)
+        return f"({s})" if prec > 0 else s
+    if ty is Comp:
+        parts = []
+        while ty is Comp:
+            parts.append(_rr(r.left, 3, env, memo, bits))
+            r = r.right
+            ty = type(r)
+        parts.append(_rr(r, 2, env, memo, bits))
+        s = " * ".join(parts)
+        return f"({s})" if prec > 2 else s
+    if ty is Conv:
+        n = 0
+        while ty is Conv:
+            n += 1
+            r = r.rel
+            ty = type(r)
+        return _rr(r, 4, env, memo, bits) + "^" * n
+    if ty is Promote:
+        return "{" + render_term(r.term) + "}"
     raise TypeError(f"not a type: {r!r}")
 
 
@@ -879,44 +954,41 @@ def render_proof(p: Proof) -> str:
 
 
 def _rp(p: Proof, prec: int) -> str:
-    # prec 0: full; 1: application position; 2: atom
-    match p:
-        case PVar(n):
-            return n
-        case PLam(pvar, sl, rel, sr, body):
-            s = f"fun ({pvar} : {sl} [{render_type(rel)}] {sr}) => {_rp(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case PTyLam(tv, body):
-            s = f"Fun {tv} => {_rp(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case PApp(f, a):
-            s = f"{_rp(f, 1)} {_rp(a, 2)}"
-            return f"({s})" if prec > 1 else s
-        case PTyApp(f, r):
-            s = f"{_rp(f, 1)} {{{render_type(r)}}}"
-            return f"({s})" if prec > 1 else s
-        case PConv(l, body, rr):
-            s = f"{_rt(l, 2, [], {})} <| {_rp(body, 0)} |> {_rt(rr, 2, [], {})}"
-            return f"({s})" if prec > 0 else s
-        case PConvI(body):
-            s = f"conv_i {_rp(body, 2)}"
-            return f"({s})" if prec > 1 else s
-        case PConvE(body):
-            s = f"conv_e {_rp(body, 2)}"
-            return f"({s})" if prec > 1 else s
-        case PIota(l, t):
-            return f"iota {{{render_term(l)}, {render_term(t)}}}"
-        case PRho(g, tl, tr, eq, body):
-            s = (
-                f"rho {{{g}. {render_term(tl)}, {render_term(tr)}}} "
-                f"{_rp(eq, 1)} - {_rp(body, 0)}"
-            )
-            return f"({s})" if prec > 0 else s
-        case PPair(l, rr, mid):
-            return f"({_rp(l, 0)}, {_rp(rr, 0)} via {render_term(mid)})"
-        case PPi(scrut, mid, pl, pr, body):
-            s = f"pi {_rp(scrut, 1)} - {mid} {pl} {pr}. {_rp(body, 0)}"
-            return f"({s})" if prec > 0 else s
+    # prec 0: full; 1: application head; 2: atom
+    ty = type(p)
+    if ty is PVar:
+        return p.name
+    if ty is PApp:
+        s = f"{_rp(p.fn, 1)} {_rp(p.arg, 2)}"
+        return f"({s})" if prec > 1 else s
+    if ty is PLam:
+        s = f"fun ({p.pvar} : {p.subj_l} [{render_type(p.rel)}] {p.subj_r}) => {_rp(p.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if ty is PTyLam:
+        s = f"Fun {p.tvar} => {_rp(p.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if ty is PTyApp:
+        s = f"{_rp(p.fn, 1)} {{{render_type(p.rel)}}}"
+        return f"({s})" if prec > 1 else s
+    if ty is PConv:
+        s = f"{_rt(p.left, 2, [], {}, {})} <| {_rp(p.body, 0)} |> {_rt(p.right, 2, [], {}, {})}"
+        return f"({s})" if prec > 0 else s
+    if ty is PConvI or ty is PConvE:
+        s = f"{'conv_i' if ty is PConvI else 'conv_e'} {_rp(p.body, 2)}"
+        return f"({s})" if prec > 1 else s
+    if ty is PIota:
+        return f"iota {{{render_term(p.left)}, {render_term(p.promoted)}}}"
+    if ty is PRho:
+        s = (
+            f"rho {{{p.guide_var}. {render_term(p.guide_l)}, {render_term(p.guide_r)}}} "
+            f"{_rp(p.eq, 1)} - {_rp(p.body, 0)}"
+        )
+        return f"({s})" if prec > 0 else s
+    if ty is PPair:
+        return f"({_rp(p.left, 0)}, {_rp(p.right, 0)} via {render_term(p.mid)})"
+    if ty is PPi:
+        s = f"pi {_rp(p.scrutinee, 1)} - {p.mid_var} {p.pvar_l} {p.pvar_r}. {_rp(p.body, 0)}"
+        return f"({s})" if prec > 0 else s
     raise TypeError(f"not a proof: {p!r}")
 
 

@@ -1,4 +1,4 @@
-"""Shared term and type generators for the test suite.
+"""Shared term, type and proof generators for the test suite.
 
 Two kinds live here: hypothesis strategies for shrinkable property tests, and
 a deterministic `random.Random`-driven generator for the large seeded sweeps
@@ -11,6 +11,21 @@ import random
 
 from hypothesis import strategies as st
 
+from reltt.kernel import (
+    PApp,
+    PConv,
+    PConvE,
+    PConvI,
+    PIota,
+    PLam,
+    PPair,
+    PPi,
+    PRho,
+    PTyApp,
+    PTyLam,
+    PVar,
+    Proof,
+)
 from reltt.syntax import (
     All,
     App,
@@ -231,3 +246,33 @@ def random_scoped_type(
     if pool is not None:
         pool.append(r)
     return r
+
+
+def random_unchecked_proof(rng: random.Random, size: int) -> Proof:
+    """An unchecked proof over three names, so binders often shadow."""
+    names = ("u", "v", "w")
+    if size <= 1 or rng.random() < 0.2:
+        return PVar(rng.choice(names)) if rng.random() < 0.8 else PIota(Var("a"), Var("f"))
+    roll = rng.random()
+    if roll < 0.45:
+        cut = rng.randint(1, size - 1)
+        a, b = random_unchecked_proof(rng, cut), random_unchecked_proof(rng, size - cut)
+        if roll < 0.15:
+            return PApp(a, b)
+        if roll < 0.3:
+            return PPi(a, "m", rng.choice(names), rng.choice(names), b)
+        return PPair(a, b, Var("m"))
+    body = random_unchecked_proof(rng, size - 1)
+    if roll < 0.75:
+        return PLam(rng.choice(names), "x", TVar("R"), "y", body)
+    wrap = rng.choice(
+        (
+            lambda p: PTyLam("X", p),
+            lambda p: PTyApp(p, TVar("R")),
+            lambda p: PConv(Var("a"), p, Var("b")),
+            PConvI,
+            PConvE,
+            lambda p: PRho("z", Var("z"), Var("z"), PVar("u"), p),
+        )
+    )
+    return wrap(body)

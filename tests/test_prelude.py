@@ -33,7 +33,7 @@ from reltt.derived import (
     sum_,
     unit,
 )
-from reltt import prelude
+from reltt import derived, prelude
 from reltt.kernel import PConvI, PVar, check
 from reltt.prelude import (
     NOT_DERIVABLE,
@@ -70,6 +70,7 @@ from reltt.syntax import (
     subst_tvar,
 )
 from reltt.systemf import (
+    is_f_type,
     project_type,
     rel_of_ftype,
     rename_ftvars,
@@ -178,6 +179,25 @@ def test_fmap_at_the_parameter_is_the_identity():
 
 def test_fmap_at_another_variable_is_constant_identity():
     assert alpha_eq(gen_fmap("X", TVar("Y")), App(K, I))
+
+
+def test_fmap_checks_the_f_shape_once_per_call(monkeypatch):
+    # F-shape is hereditary, so the recursion under the top call checks nothing.
+    checked = []
+
+    def counting(r):
+        checked.append(r)
+        return is_f_type(r)
+
+    monkeypatch.setattr(derived, "is_f_type", counting)
+    chain = TVar("X")
+    for _ in range(50):
+        chain = Arrow(TVar("Y"), chain)
+    gen_fmap("X", all_("Y", chain))
+    assert len(checked) == 1
+    with pytest.raises(PreludeError):
+        gen_fmap("X", Arrow(TVar("X"), Conv(TVar("X"))))
+    assert len(checked) == 2
 
 
 def test_fmap_at_an_arrow_composes_both_sides():

@@ -315,6 +315,14 @@ def test_cli_internal_error_is_one_line_and_exit_3(tmp_path, capsys, default_rec
     assert out.count("\n") == 1
 
 
+def test_cli_normalizes_a_long_application_spine(capsys, default_recursion_limit):
+    # The parser reads a spine in a loop and the renderer prints it in one.
+    for length in (2000, 3000):
+        spine = "f" + " a" * length
+        assert main(["normalize", spine, "--no-prelude"]) == EXIT_OK
+        assert capsys.readouterr().out == f"normal form (0 steps): {spine}\n"
+
+
 def test_cli_turns_any_internal_error_into_one_line_and_exit_3(tmp_path, capsys, monkeypatch):
     # The guard itself, independent of which input can still exhaust the
     # parser's recursion: a multi-line message is joined onto one line.

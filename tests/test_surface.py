@@ -14,11 +14,13 @@ from hypothesis import given
 
 import reference_parser
 import reference_render
+import reference_render_sets
 from generators import (
     HINTS,
     TYPE_HINTS,
     random_scoped_term,
     random_scoped_type,
+    random_unchecked_proof,
     term_strategy,
     type_strategy,
 )
@@ -36,8 +38,8 @@ from reltt.kernel import (
     PVar,
 )
 from reltt.derived import dconj, int_type_l, sum_
-from reltt.script import prelude_source
-from reltt import surface
+from reltt import script, surface
+from reltt.script import prelude_env, prelude_source
 from reltt.surface import (
     ParseError,
     ProofDef,
@@ -68,6 +70,7 @@ from reltt.syntax import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+DUMPS = ("judgments", "erasures", "systemf")
 
 
 def test_quantified_arrow_parses():
@@ -175,20 +178,97 @@ def test_renderer_freshens_shadowed_display_hints():
     assert parse_type(rendered_type) == r
 
 
-def test_renderer_matches_the_opening_renderer():
+@pytest.fixture(scope="module")
+def scoped_samples():
+    """5,000 scoped terms and types from one seed, drawn once for both renderer sweeps."""
+    rng = random.Random(606)
+    return [
+        (
+            random_scoped_term(rng, rng.randint(1, 30), 0, []),
+            random_scoped_type(rng, rng.randint(1, 30), 0, []),
+        )
+        for _ in range(5000)
+    ]
+
+
+def test_renderer_matches_the_opening_renderer(scoped_samples):
     # Differential sweep against the renderer that opened every binder
     # (tests/reference_render.py): dangling indices, empty hints, hints that
     # clash with free names, and subterms shared under different binders.
-    rng = random.Random(606)
     dangling = 0
-    for _ in range(5000):
-        t = random_scoped_term(rng, rng.randint(1, 30), 0, [])
-        r = random_scoped_type(rng, rng.randint(1, 30), 0, [])
+    for t, r in scoped_samples:
         rendered = render_term(t)
         assert rendered == reference_render.render_term(t), t
         assert render_type(r) == reference_render.render_type(r), r
         dangling += "?" in rendered
     assert 500 < dangling < 4500
+
+
+def test_renderer_matches_the_frozenset_renderer(scoped_samples):
+    # Differential sweep against the renderer that matched on classes and
+    # kept scopes as frozensets (tests/reference_render_sets.py).
+    for t, r in scoped_samples:
+        assert render_term(t) == reference_render_sets.render_term(t), t
+        assert render_type(r) == reference_render_sets.render_type(r), r
+
+
+def test_proof_renderer_matches_the_frozenset_renderer():
+    rng = random.Random(11)
+    for _ in range(1500):
+        p = random_unchecked_proof(rng, rng.randint(1, 16))
+        assert render_proof(p) == reference_render_sets.render_proof(p), p
+
+
+def test_corpus_and_prelude_print_alike_through_the_frozenset_renderer(monkeypatch):
+    # Every render behind the library file, the echoes, derivation trees,
+    # normal forms and dump lines of the corpus and the prelude goes through
+    # both renderers.
+    printed = []
+
+    def both(name):
+        new, old = getattr(surface, name), getattr(reference_render_sets, name)
+
+        def render(x):
+            text = new(x)
+            assert text == old(x), x
+            printed.append(text)
+            return text
+
+        return render
+
+    for name in ("render_term", "render_type", "render_proof", "render_judgment"):
+        monkeypatch.setattr(script, name, both(name))
+    env = prelude_env()
+    script.export_prelude()
+    for stmt in corpus_proofs():
+        script.render_proof(stmt.proof)
+    for what in DUMPS:
+        script.dump(list(env.proofs.values()), what)
+    for path in sorted(CORPUS.glob("*.rtt")) + sorted((CORPUS / "negative").glob("*.rtt")):
+        result = script.run_script(parse(path.read_text()), env=env, trace=True)
+        assert all(d.message for d in result.diagnostics)  # echoes render when read
+        for what in DUMPS:
+            script.dump(result.checked, what)
+    assert len(printed) > 400
+
+
+def test_long_spines_and_chains_render_at_the_stock_recursion_limit(default_recursion_limit):
+    # A spine, a chain of binders and a chain of arrows print in one loop, and
+    # the scope of a binder above them is collected in one loop as well.
+    spine = Bound(0)
+    for _ in range(3000):
+        spine = App(spine, Var("a"))
+    assert render_term(spine) == "?0" + " a" * 3000
+    assert render_term(Lam("f", spine)) == "\\f. f" + " a" * 3000
+    lams = Bound(2999)
+    for _ in range(3000):
+        lams = Lam("x", lams)
+    assert render_term(lams) == "\\x. " + "\\x1. " * 2999 + "x"
+    arrows = TBound(0)
+    for _ in range(3000):
+        arrows = Arrow(TBound(0), arrows)
+    assert render_type(arrows) == "?0 -> " * 3000 + "?0"
+    assert render_type(All("X", arrows)) == "all X. " + "X -> " * 3000 + "X"
 
 
 def test_parse_error_spans_lie_within_the_source():

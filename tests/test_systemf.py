@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given
 
 import reference_systemf as reference
-from generators import random_scoped_type, random_type, type_strategy
+from generators import random_scoped_type, random_type, random_unchecked_proof, type_strategy
 from proof_tools import rename_binders
 from reltt.kernel import (
     PApp,
     PConv,
-    PConvE,
     PConvI,
     PIota,
     PLam,
     PPair,
     PPi,
-    PRho,
     PTyApp,
     PTyLam,
     PVar,
@@ -402,38 +400,8 @@ def test_validation_and_embedding_match_the_reference_on_random_derivations():
     assert kinds >= {"ok", RULE_MISMATCH, F_FRESHNESS_VIOLATION, "unbound-variable"}
 
 
-def _random_proof(rng: random.Random, size: int):
-    """An unchecked proof over three names, so binders often shadow."""
-    names = ("u", "v", "w")
-    if size <= 1 or rng.random() < 0.2:
-        return PVar(rng.choice(names)) if rng.random() < 0.8 else PIota(Var("a"), Var("f"))
-    roll = rng.random()
-    if roll < 0.45:
-        cut = rng.randint(1, size - 1)
-        a, b = _random_proof(rng, cut), _random_proof(rng, size - cut)
-        if roll < 0.15:
-            return PApp(a, b)
-        if roll < 0.3:
-            return PPi(a, "m", rng.choice(names), rng.choice(names), b)
-        return PPair(a, b, Var("m"))
-    body = _random_proof(rng, size - 1)
-    if roll < 0.75:
-        return PLam(rng.choice(names), "x", R, "y", body)
-    wrap = rng.choice(
-        (
-            lambda p: PTyLam("X", p),
-            lambda p: PTyApp(p, R),
-            lambda p: PConv(Var("a"), p, Var("b")),
-            PConvI,
-            PConvE,
-            lambda p: PRho("z", Var("z"), Var("z"), PVar("u"), p),
-        )
-    )
-    return wrap(body)
-
-
 def test_erasure_matches_the_reference_on_random_unchecked_proofs():
     rng = random.Random(11)
     for _ in range(1500):
-        p = _random_proof(rng, rng.randint(1, 16))
+        p = random_unchecked_proof(rng, rng.randint(1, 16))
         assert repr(erase_proof(p)) == repr(reference.erase_proof(p)), p
