@@ -24,9 +24,8 @@ from .syntax import (
     TBound,
     TVar,
     Term,
-    Var,
-    lam,
 )
+from .systemf import I_TERM
 
 PLUS = "+"
 MINUS = "-"
@@ -35,8 +34,6 @@ POS_ONLY = "posOnly"
 NEG_ONLY = "negOnly"
 BOTH = "both"
 NEITHER = "neither"
-
-_IDENTITY = lam("x", Var("x"))
 
 
 class AnalysisError(Exception):
@@ -74,7 +71,7 @@ def polarity_holds(x: str, p: str, r: RelType) -> bool:
 
 
 def _identity_promotion(t: Term, fuel: int) -> bool:
-    verdict = conv_check(t, _IDENTITY, fuel)
+    verdict = conv_check(t, I_TERM, fuel)
     if verdict == UNDECIDED:
         raise AnalysisError("promotion convertibility undecided")
     return verdict == EQUAL

@@ -64,17 +64,18 @@ def _print_diagnostics(path: str, source: str, diagnostics: list[Diagnostic]) ->
             print(f"  {extra}")
 
 
-def _base_env(no_prelude: bool, fuel: int) -> Env:
-    return Env() if no_prelude else prelude_env(fuel)
-
-
-def _cmd_check(args) -> int:
+def _run(args) -> int:
+    """Load the base environment once for every command, then run it; a
+    library that fails to load is a configuration error."""
     try:
-        base = _base_env(args.no_prelude, args.fuel)
+        base = Env() if args.no_prelude else prelude_env(args.fuel)
     except RuntimeError as e:
         print(f"reltt: error[config]: {e}")
         return EXIT_USAGE
+    return args.run(args, base)
 
+
+def _cmd_check(args, base: Env) -> int:
     parse_failed = False
     check_failed = False
     checked = []
@@ -110,7 +111,7 @@ def _cmd_check(args) -> int:
     return EXIT_CHECK if check_failed else EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, env: Env) -> int:
     try:
         source = Path(args.file).read_text("utf-8")
     except OSError as e:
@@ -122,7 +123,6 @@ def _cmd_analyze(args) -> int:
         _print_parse_error(args.file, source, e)
         return EXIT_USAGE
 
-    env = _base_env(args.no_prelude, args.fuel)
     failed = False
     reported = 0
     for stmt in script.statements:
@@ -147,13 +147,12 @@ def _cmd_analyze(args) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args, env: Env) -> int:
     try:
         term = parse_term(args.term)
     except ParseError as e:
         print(f"reltt: error[parse-error]: {e.message}")
         return EXIT_USAGE
-    env = _base_env(args.no_prelude, args.fuel)
     result = normalize(_elab_term(term, env), args.fuel)
     if result.status == FUEL_EXHAUSTED:
         print(
@@ -212,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
+        return _run(args)
     except Exception as e:  # e.g. RecursionError on very deep input
         message = " ".join(str(e).splitlines())
         print(f"reltt: error[internal]: {type(e).__name__}: {message}")

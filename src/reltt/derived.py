@@ -37,10 +37,11 @@ from .syntax import (
     lam,
     open_type,
 )
-from .systemf import identity_term, is_f_type
+from .systemf import I_TERM, is_f_type
 
-I_TERM = identity_term()
+# K, which is also the boolean `tt`, and K I, the promotion of a subset type.
 K_TERM = lam("x", lam("y", Var("x")))
+KI_TERM = App(K_TERM, I_TERM)
 
 
 class PreludeError(Exception):
@@ -87,7 +88,7 @@ def dconj(t: Term, r: RelType) -> RelType:
 
 
 def subset(dom: RelType, cod: RelType) -> RelType:
-    return dconj(App(K_TERM, I_TERM), Arrow(dom, cod))
+    return dconj(KI_TERM, Arrow(dom, cod))
 
 
 def imp_prod(dom: RelType, cod: RelType) -> RelType:
@@ -160,7 +161,7 @@ def gen_fmap(x: str, r: RelType) -> Term:
 def _fmap(x: str, r: RelType) -> Term:
     match r:
         case TVar(n):
-            return I_TERM if n == x else App(K_TERM, I_TERM)
+            return I_TERM if n == x else KI_TERM
         case Arrow(dom, cod):
             fm_dom = _fmap(x, dom)
             fm_cod = _fmap(x, cod)

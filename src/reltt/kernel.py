@@ -15,9 +15,9 @@ Side conditions are enforced eagerly:
   (**) a composition eliminator's middle variable may not escape into the
        body judgment or any ambient data.
 Both are tested against the context's free term and type names, passed down
-the derivation: the outermost binder on a path collects them from the
-context once, and each binder extends them with the names its new entries
-bring, so no side condition re-collects the names of the whole context.
+the derivation: `check` and `to_relpf` collect them from the context once,
+and each binder extends them with the names its new entries bring, so no
+side condition re-collects the names of the whole context.
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -238,11 +238,8 @@ def _conv_side(declared: Term, synthesized: Term, fuel: int, side: str, span) ->
     )
 
 
-def _derive(
-    ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]] | None
-) -> RelPfNode:
-    """Derive `p` under `ctx`; `names` is `free_vars(ctx)`, or None until a
-    binder needs it."""
+def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]]) -> RelPfNode:
+    """Derive `p` under `ctx`; `names` is `free_vars(ctx)`."""
     match p:
         case PVar(name):
             entry = ctx_lookup(ctx, name)
@@ -262,7 +259,7 @@ def _derive(
                     FRESHNESS_VIOLATION, f"proof variable '{pvar}' already assumed", p.span
                 )
             entry = ContextEntry(pvar, Var(subj_l), rel, Var(subj_r))
-            terms, types = names or free_vars(ctx)
+            terms, types = names
             ann_terms, ann_types = free_vars(rel)
             inner = (terms | ann_terms | {subj_l, subj_r}, types | ann_types)
             bnode = _derive(ctx + (entry,), body, fuel, inner)
@@ -302,7 +299,6 @@ def _derive(
             return _node(p, judgment, (fnode,))
 
         case PTyLam(tvar, body):
-            names = names or free_vars(ctx)
             bnode = _derive(ctx, body, fuel, names)
             if tvar in names[1]:
                 raise KernelError(
@@ -396,7 +392,7 @@ def _derive(
                 ContextEntry(pvar_l, sj.left, sj.rel.left, Var(mid_var)),
                 ContextEntry(pvar_r, Var(mid_var), sj.rel.right, sj.right),
             )
-            terms, types = names or free_vars(ctx)
+            terms, types = names
             scrut_terms, scrut_types = free_vars(sj)
             inner = (terms | scrut_terms | {mid_var}, types | scrut_types)
             bnode = _derive(ctx + new, body, fuel, inner)
@@ -415,7 +411,7 @@ def _derive(
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, None).judgment
+    return _derive(ctx, p, fuel, free_vars(ctx)).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -438,4 +434,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, None)
+    return _derive(ctx, p, fuel, free_vars(ctx))

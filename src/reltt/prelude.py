@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .analysis import PLUS, flip, polarity_holds
 from .derived import (
-    I_TERM,
+    KI_TERM,
     K_TERM,
     PreludeError,
     bool_,
@@ -87,15 +87,17 @@ from .syntax import (
     subst_tvar,
 )
 from .systemf import (
+    I_TERM,
+    PAIR_TERM,
     DAbs,
     DApp,
     DGen,
     DInst,
     DVar,
     FDerivation,
+    _identity_derivation,
     embed_f,
     pair_derivation,
-    pair_term,
     project_type,
     rename_ftvars,
 )
@@ -313,6 +315,9 @@ NAT_R = nat()
 NAT_F = project_type(NAT_R)
 SUM_ONE_NAT_F = sum_(UNIT_F, NAT_F)
 
+# The boolean ff; tt is `K_TERM`.
+FF_TERM = lam("x", lam("y", Var("y")))
+
 # The open functor 1 + X, shared by the numeric entries.
 _ONE_PLUS_X = sum_(unit(), TVar("X"))
 
@@ -321,16 +326,10 @@ _ONE_PLUS_X = sum_(unit(), TVar("X"))
 _STDLIB_AVOID = frozenset({"n", "m", "c", "s", "p"})
 
 
-def _tt_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", TVar("X"), DAbs("y", TVar("X"), DVar("x"))))
-
-
-def _ff_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", TVar("X"), DAbs("y", TVar("X"), DVar("y"))))
-
-
-def _unit_deriv() -> FDerivation:
-    return DGen("X", DAbs("x", TVar("X"), DVar("x")))
+def _bool_deriv(first: bool) -> FDerivation:
+    """tt (`first`) or ff: the selector of the first or the second of two values."""
+    x = TVar("X")
+    return DGen("X", DAbs("x", x, DAbs("y", x, DVar("x" if first else "y"))))
 
 
 def _k_deriv() -> FDerivation:
@@ -343,56 +342,23 @@ def _pair_deriv() -> FDerivation:
     return DGen("A", DGen("B", pair_derivation((), TVar("A"), TVar("B"))))
 
 
-def _fst_deriv() -> FDerivation:
+def _proj_deriv(first: bool) -> FDerivation:
+    """fst (`first`) or snd: the pair applied to the selector of its side."""
     a, b = TVar("A"), TVar("B")
-    keep = DAbs("x", a, DAbs("y", b, DVar("x")))
+    keep = DAbs("x", a, DAbs("y", b, DVar("x" if first else "y")))
     return DGen(
         "A",
-        DGen("B", DAbs("p", prod(a, b), DApp(DInst(a, DVar("p")), keep))),
+        DGen("B", DAbs("p", prod(a, b), DApp(DInst(a if first else b, DVar("p")), keep))),
     )
 
 
-def _snd_deriv() -> FDerivation:
-    a, b = TVar("A"), TVar("B")
-    keep = DAbs("x", a, DAbs("y", b, DVar("y")))
-    return DGen(
-        "A",
-        DGen("B", DAbs("p", prod(a, b), DApp(DInst(b, DVar("p")), keep))),
-    )
-
-
-def _inl_deriv() -> FDerivation:
-    a, b = TVar("A"), TVar("B")
-    inner = DAbs(
-        "a",
-        a,
-        DGen(
-            "Z",
-            DAbs(
-                "n",
-                Arrow(a, TVar("Z")),
-                DAbs("m", Arrow(b, TVar("Z")), DApp(DVar("n"), DVar("a"))),
-            ),
-        ),
-    )
-    return DGen("A", DGen("B", inner))
-
-
-def _inr_deriv() -> FDerivation:
-    a, b = TVar("A"), TVar("B")
-    inner = DAbs(
-        "b",
-        b,
-        DGen(
-            "Z",
-            DAbs(
-                "n",
-                Arrow(a, TVar("Z")),
-                DAbs("m", Arrow(b, TVar("Z")), DApp(DVar("m"), DVar("b"))),
-            ),
-        ),
-    )
-    return DGen("A", DGen("B", inner))
+def _inj_deriv(left: bool, payload: str, n: str, m: str) -> FDerivation:
+    """inl (`left`) or inr; `payload` binds the injected value, and `n` and
+    `m` bind the two branches."""
+    a, b, z = TVar("A"), TVar("B"), TVar("Z")
+    pick = DApp(DVar(n if left else m), DVar(payload))
+    branches = DAbs(n, Arrow(a, z), DAbs(m, Arrow(b, z), pick))
+    return DGen("A", DGen("B", DAbs(payload, a if left else b, DGen("Z", branches))))
 
 
 def _branches_deriv() -> FDerivation:
@@ -413,38 +379,6 @@ def _branches_deriv() -> FDerivation:
     return DGen("A", DGen("B", DGen("Z", inner)))
 
 
-def _inj_splice(left: bool) -> FDerivation:
-    """An injection derivation with internal binders clear of the stdlib
-    composition scopes, for splicing under other binders."""
-    a, b = TVar("A"), TVar("B")
-    payload = "w"
-    inner = DAbs(
-        payload,
-        a if left else b,
-        DGen(
-            "Z",
-            DAbs(
-                "j",
-                Arrow(a, TVar("Z")),
-                DAbs(
-                    "k",
-                    Arrow(b, TVar("Z")),
-                    DApp(DVar("j" if left else "k"), DVar(payload)),
-                ),
-            ),
-        ),
-    )
-    return DGen("A", DGen("B", inner))
-
-
-def _inl_at(a: RelType, b: RelType) -> FDerivation:
-    return DInst(b, DInst(a, _inj_splice(True)))
-
-
-def _inr_at(a: RelType, b: RelType) -> FDerivation:
-    return DInst(b, DInst(a, _inj_splice(False)))
-
-
 @lru_cache(maxsize=1)
 def _in_nat_deriv() -> FDerivation:
     # Five library entries splice this derivation; it is immutable, so they share one.
@@ -459,17 +393,19 @@ def _rebuild_nat_deriv() -> FDerivation:
     return DApp(DInst(NAT_F, _fold_nat_deriv()), _in_nat_deriv())
 
 
+def _in_nat_of(left: bool, payload: FDerivation) -> FDerivation:
+    """The constructor applied to `payload` injected into 1 + Nat; the
+    injection's binders stay clear of the stdlib composition scopes."""
+    inj = DInst(NAT_F, DInst(UNIT_F, _inj_deriv(left, "w", "j", "k")))
+    return DApp(_in_nat_deriv(), DApp(inj, payload))
+
+
 def _zero_deriv() -> FDerivation:
-    seed = DApp(_inl_at(UNIT_F, NAT_F), _unit_deriv())
-    return DApp(_in_nat_deriv(), seed)
+    return _in_nat_of(True, _identity_derivation(()))
 
 
 def _succ_deriv() -> FDerivation:
-    return DAbs(
-        "s",
-        NAT_F,
-        DApp(_in_nat_deriv(), DApp(_inr_at(UNIT_F, NAT_F), DVar("s"))),
-    )
+    return DAbs("s", NAT_F, _in_nat_of(False, DVar("s")))
 
 
 def _add_deriv() -> FDerivation:
@@ -487,22 +423,11 @@ def _add_deriv() -> FDerivation:
     )
 
 
-def in_nat_term() -> Term:
-    return gen_in("X", _ONE_PLUS_X)
-
-
+@lru_cache(maxsize=1)
 def _stdlib_terms() -> dict[str, Term]:
     inl_t = lam("a", lam("n", lam("m", App(Var("n"), Var("a")))))
     inr_t = lam("b", lam("n", lam("m", App(Var("m"), Var("b")))))
-    tt = lam("x", lam("y", Var("x")))
-    ff = lam("x", lam("y", Var("y")))
-    fst = lam("p", App(Var("p"), tt))
-    snd = lam("p", App(Var("p"), ff))
-    branches = lam(
-        "n", lam("m", lam("c", App(App(Var("c"), Var("n")), Var("m"))))
-    )
-    in_nat = in_nat_term()
-    fold = gen_fold()
+    in_nat = gen_in("X", _ONE_PLUS_X)
     succ = lam("s", App(in_nat, App(inr_t, Var("s"))))
     zero = App(in_nat, App(inl_t, I_TERM))
     add = lam(
@@ -519,15 +444,15 @@ def _stdlib_terms() -> dict[str, Term]:
         "I": I_TERM,
         "K": K_TERM,
         "unit": I_TERM,
-        "tt": tt,
-        "ff": ff,
-        "pair": pair_term(),
-        "fst": fst,
-        "snd": snd,
+        "tt": K_TERM,
+        "ff": FF_TERM,
+        "pair": PAIR_TERM,
+        "fst": lam("p", App(Var("p"), K_TERM)),
+        "snd": lam("p", App(Var("p"), FF_TERM)),
         "inl": inl_t,
         "inr": inr_t,
-        "branches": branches,
-        "fold_nat": fold,
+        "branches": lam("n", lam("m", lam("c", App(App(Var("c"), Var("n")), Var("m"))))),
+        "fold_nat": gen_fold(),
         "in_nat": in_nat,
         "rebuild_nat": gen_rebuild("X", _ONE_PLUS_X),
         "zero": zero,
@@ -577,14 +502,14 @@ def stdlib() -> dict[str, StdlibEntry]:
     nat_op = [
         ("I", id_f, DGen("A", DAbs("x", a, DVar("x")))),
         ("K", k_f, _k_deriv()),
-        ("unit", UNIT_F, _unit_deriv()),
-        ("tt", BOOL_F, _tt_deriv()),
-        ("ff", BOOL_F, _ff_deriv()),
+        ("unit", UNIT_F, _identity_derivation(())),
+        ("tt", BOOL_F, _bool_deriv(True)),
+        ("ff", BOOL_F, _bool_deriv(False)),
         ("pair", pair_f, _pair_deriv()),
-        ("fst", fst_f, _fst_deriv()),
-        ("snd", snd_f, _snd_deriv()),
-        ("inl", inl_f, _inl_deriv()),
-        ("inr", inr_f, _inr_deriv()),
+        ("fst", fst_f, _proj_deriv(True)),
+        ("snd", snd_f, _proj_deriv(False)),
+        ("inl", inl_f, _inj_deriv(True, "a", "n", "m")),
+        ("inr", inr_f, _inj_deriv(False, "b", "n", "m")),
         ("branches", branches_f, _branches_deriv()),
         ("fold_nat", fold_f, _fold_nat_deriv()),
         ("in_nat", in_f, _in_nat_deriv()),
@@ -650,6 +575,12 @@ def _fresh_subject_names(ctx: Context, extra: set[str]) -> tuple[str, str, str]:
     return xl, xr, u
 
 
+def _conj_proof(t: Term, a: Term, q: Proof, tp: Term, b: Term) -> Proof:
+    """a [t.R.tp] b from q : (t a) [R] (tp b): the promotion of `t` at `a`,
+    then `q`, then the converse promotion of `tp` at `b`."""
+    return PPair(PIota(a, t), PPair(q, PConvI(PIota(b, tp)), App(tp, b)), App(t, a))
+
+
 def _promoted_pair_intro(
     ctx: Context,
     k: Term,
@@ -661,19 +592,13 @@ def _promoted_pair_intro(
     fuel: int,
     want: RelType,
 ) -> Proof:
-    # The promotion of `k` at t1, the transformer's lambda converted to the
-    # subjects `k t1` and `k t2`, and the converse promotion at t2, paired.
-    # One check gives the judgment, whose type must be the derived form `want`.
+    # The transformer's lambda, converted to the subjects `k t1` and `k t2`,
+    # conjugated by `k`. One check gives the judgment, whose type must be the
+    # derived form `want`.
     extra = free_vars(t1)[0] | free_vars(t2)[0] | free_vars(dom)[0] | free_vars(cod)[0]
     xl, xr, u = _fresh_subject_names(ctx, extra)
     lam_proof = PLam(u, xl, dom, xr, transform(u))
-    mid1 = App(k, t1)
-    mid2 = App(k, t2)
-    proof = PPair(
-        PIota(t1, k),
-        PPair(PConv(mid1, lam_proof, mid2), PConvI(PIota(t2, k)), mid2),
-        mid1,
-    )
+    proof = _conj_proof(k, t1, PConv(App(k, t1), lam_proof, App(k, t2)), k, t2)
     if not alpha_eq(_judged(ctx, proof, fuel).rel, want):
         raise PreludeError(BUILDER_MISMATCH, "transformer changed the target type")
     return proof
@@ -693,8 +618,7 @@ def subset_intro(
     `transform(pvar)` receives the name of the assumption x [dom] y and must
     return a proof whose subjects are beta-eta equal to x and y at cod.
     """
-    ki = App(K_TERM, I_TERM)
-    return _promoted_pair_intro(ctx, ki, t1, t2, dom, cod, transform, fuel, subset(dom, cod))
+    return _promoted_pair_intro(ctx, KI_TERM, t1, t2, dom, cod, transform, fuel, subset(dom, cod))
 
 
 def impprod_intro(
@@ -722,14 +646,7 @@ def conj_intro(ctx: Context, t: Term, tp: Term, q: Proof, fuel: int = DEFAULT_FU
         raise PreludeError(
             BUILDER_MISMATCH, "right subject is not an application of the conjugating term"
         )
-    a = j.left.arg
-    b = j.right.arg
-    proof = PPair(
-        PIota(a, t),
-        PPair(q, PConvI(PIota(b, tp)), App(tp, b)),
-        App(t, a),
-    )
-    return _checked(ctx, proof, fuel)
+    return _checked(ctx, _conj_proof(t, j.left.arg, q, tp, j.right.arg), fuel)
 
 
 def bool_discrimination(r: RelType, fuel: int = DEFAULT_FUEL) -> tuple[Context, Proof]:
@@ -737,11 +654,8 @@ def bool_discrimination(r: RelType, fuel: int = DEFAULT_FUEL) -> tuple[Context, 
     from assumptions that tt and ff are related booleans and two pairs of
     related subjects, conclude that the first left is related to the second
     right."""
-    tt = lam("x", lam("y", Var("x")))
-    ff = lam("x", lam("y", Var("y")))
-    bool_r = bool_()
     ctx = (
-        ContextEntry("u", tt, bool_r, ff),
+        ContextEntry("u", K_TERM, bool_(), FF_TERM),
         ContextEntry("v", Var("x"), r, Var("x'")),
         ContextEntry("w", Var("y"), r, Var("y'")),
     )

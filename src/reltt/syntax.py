@@ -140,22 +140,22 @@ def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> 
     raise TypeError(f"not a term: {t!r}")
 
 
-def close_term(t: Term, name: str, depth: int = 0) -> Term:
-    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+def close_term(t: Term, name: str) -> Term:
+    """Replace the free occurrences of `name` by the index of a binder just outside `t`."""
 
     def leaf(x: Term, d: int) -> Term:
         return Bound(d) if type(x) is Var and x.name == name else x
 
-    return rebuild_term(t, leaf, depth)
+    return rebuild_term(t, leaf)
 
 
-def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
+def open_term(body: Term, repl: Term) -> Term:
     """Instantiate the outermost binder's index in `body` with `repl`."""
 
     def leaf(x: Term, d: int) -> Term:
         return repl if type(x) is Bound and x.index == d else x
 
-    return rebuild_term(body, leaf, depth)
+    return rebuild_term(body, leaf)
 
 
 # The index primitives below sit on the reduction hot path, so they dispatch
@@ -340,22 +340,22 @@ def rebuild_type(r: RelType, leaf: Callable[[RelType, int], RelType], depth: int
     raise TypeError(f"not a type: {r!r}")
 
 
-def close_type(r: RelType, name: str, depth: int = 0) -> RelType:
-    """Replace the free occurrences of `name` by the index of a binder `depth` levels up."""
+def close_type(r: RelType, name: str) -> RelType:
+    """Replace the free occurrences of `name` by the index of a binder just outside `r`."""
 
     def leaf(x: RelType, d: int) -> RelType:
         return TBound(d) if type(x) is TVar and x.name == name else x
 
-    return rebuild_type(r, leaf, depth)
+    return rebuild_type(r, leaf)
 
 
-def open_type(body: RelType, repl: RelType, depth: int = 0) -> RelType:
+def open_type(body: RelType, repl: RelType) -> RelType:
     """Instantiate the outermost binder's index in `body` with `repl`."""
 
     def leaf(x: RelType, d: int) -> RelType:
         return repl if type(x) is TBound and x.index == d else x
 
-    return rebuild_type(body, leaf, depth)
+    return rebuild_type(body, leaf)
 
 
 def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:

@@ -268,16 +268,10 @@ def _validate(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
 # Erasure
 # ---------------------------------------------------------------------------
 
-_IDENTITY = lam("x", Var("x"))
-_PAIR = lam("x", lam("y", lam("c", App(App(Var("c"), Var("x")), Var("y")))))
-
-
-def identity_term() -> Term:
-    return _IDENTITY
-
-
-def pair_term() -> Term:
-    return _PAIR
+# The erasures of a promotion and of a composition pair: the identity and the
+# Church pair. The library's `I`, `unit` and `pair` are these terms.
+I_TERM = lam("x", Var("x"))
+PAIR_TERM = lam("x", lam("y", lam("c", App(App(Var("c"), Var("x")), Var("y")))))
 
 
 def erase_proof(p: Proof) -> Term:
@@ -322,11 +316,11 @@ def erase_proof(p: Proof) -> Term:
             case PConvI(body) | PConvE(body):
                 return go(body, depth)
             case PIota(_, _):
-                return _IDENTITY
+                return I_TERM
             case PRho(_, _, _, _, body):
                 return go(body, depth)
             case PPair(left, right, _):
-                return App(App(_PAIR, go(left, depth)), go(right, depth))
+                return App(App(PAIR_TERM, go(left, depth)), go(right, depth))
             case PPi(scrutinee, _, u, v, body):
                 return App(go(scrutinee, depth), under((u, v), body, depth))
         raise TypeError(f"not a proof: {p!r}")

@@ -54,9 +54,9 @@ from reltt.syntax import (
     lam,
     open_type,
 )
+from reltt.systemf import I_TERM as _IDENTITY
+from reltt.systemf import PAIR_TERM as _PAIR
 from reltt.systemf import (
-    _IDENTITY,
-    _PAIR,
     DOTTED_COLLISION,
     F_FRESHNESS_VIOLATION,
     RULE_MISMATCH,

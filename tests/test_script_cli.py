@@ -187,6 +187,33 @@ def test_cli_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error[config]" in captured.out + captured.err
 
 
+@pytest.fixture
+def failing_library(monkeypatch):
+    """A packaged library that does not check; the load cache is cleared
+    before and after, so no other test sees it."""
+    script._prelude_env.cache_clear()
+    monkeypatch.setattr(script, "prelude_source", lambda: "proof bad : [] |- a [R] b := u\n")
+    yield
+    script._prelude_env.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(ROOT / "corpus" / "basics.rtt")],
+        ["analyze", str(ROOT / "corpus" / "datatypes.rtt")],
+        ["normalize", "add zero zero"],
+    ],
+    ids=["check", "analyze", "normalize"],
+)
+def test_cli_library_that_fails_to_load_is_a_config_error(argv, failing_library, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == (
+        "reltt: error[config]: the packaged library failed to check: "
+        "unbound-proof-variable: 'u' is not assumed\n"
+    )
+
+
 def test_cli_dump_flags_write_files(tmp_path, capsys):
     f = tmp_path / "ok.rtt"
     f.write_text(IDENTITY_PROOF.format(name="p") + "\n")

@@ -305,19 +305,19 @@ def test_rebuild_views_match_the_hand_written_walkers():
     for _ in range(300):
         t = random_scoped_term(rng, rng.randint(1, 16), rng.randrange(3), [])
         r = random_scoped_type(rng, rng.randint(1, 16), rng.randrange(3), [])
-        for depth in range(4):
+        for _ in range(4):
             name = rng.choice(TERM_NAMES)
-            agree(close_term(t, name, depth), reference.close_term(t, name, depth), t)
+            agree(close_term(t, name), reference.close_term(t, name), t)
             repl = some_term()
             while type(repl) is Bound:  # an index would be equal to one it replaces
                 repl = some_term()
-            agree(open_term(t, repl, depth), reference.open_term(t, repl, depth), t)
+            agree(open_term(t, repl), reference.open_term(t, repl), t)
             tname = rng.choice(TYPE_NAMES)
-            agree(close_type(r, tname, depth), reference.close_type(r, tname, depth), r)
+            agree(close_type(r, tname), reference.close_type(r, tname), r)
             trepl = some_type()
             while type(trepl) is TBound:
                 trepl = some_type()
-            agree(open_type(r, trepl, depth), reference.open_type(r, trepl, depth), r)
+            agree(open_type(r, trepl), reference.open_type(r, trepl), r)
         present = sorted(free_term_vars(t) | free_term_vars(r))
         tpresent = sorted(free_type_vars(r))
         for keys in (present, ["absent"], present[:1] + ["absent"]):

@@ -48,6 +48,7 @@ from reltt.syntax import (
 from reltt.systemf import (
     DOTTED_COLLISION,
     F_FRESHNESS_VIOLATION,
+    I_TERM,
     RULE_MISMATCH,
     SHADOWING_VIOLATION,
     DAbs,
@@ -59,7 +60,6 @@ from reltt.systemf import (
     dot_name,
     embed_f,
     erase_proof,
-    identity_term,
     is_dotted,
     is_f_type,
     project_ctx,
@@ -129,7 +129,7 @@ def test_erasure_equations():
     assert erase_proof(PTyLam("X", PTyApp(u, R))) == Var("u")
     assert erase_proof(PConv(Var("a"), u, Var("b"))) == Var("u")
     assert erase_proof(PConvI(u)) == Var("u")
-    assert erase_proof(PIota(Var("a"), Var("f"))) == identity_term()
+    assert erase_proof(PIota(Var("a"), Var("f"))) == I_TERM
     pair = erase_proof(PPair(u, PVar("v"), Var("m")))
     assert alpha_eq(pair, app(lam("x", lam("y", lam("c", app(Var("c"), Var("x"), Var("y"))))), Var("u"), Var("v")))
 
