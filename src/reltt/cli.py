@@ -25,6 +25,7 @@ from .reduction import DEFAULT_FUEL, FUEL_EXHAUSTED, normalize
 from .script import (
     Diagnostic,
     Env,
+    LibraryError,
     _analysis_report,
     _define,
     _elab_term,
@@ -66,10 +67,10 @@ def _print_diagnostics(path: str, source: str, diagnostics: list[Diagnostic]) ->
 
 def _run(args) -> int:
     """Load the base environment once for every command, then run it; a
-    library that fails to load is a configuration error."""
+    library that fails to check is a configuration error."""
     try:
         base = Env() if args.no_prelude else prelude_env(args.fuel)
-    except RuntimeError as e:
+    except LibraryError as e:
         print(f"reltt: error[config]: {e}")
         return EXIT_USAGE
     return args.run(args, base)

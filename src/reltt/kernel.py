@@ -15,9 +15,10 @@ Side conditions are enforced eagerly:
   (**) a composition eliminator's middle variable may not escape into the
        body judgment or any ambient data.
 Both are tested against the context's free term and type names, passed down
-the derivation: `check` and `to_relpf` collect them from the context once,
-and each binder extends them with the names its new entries bring, so no
-side condition re-collects the names of the whole context.
+the derivation: they are collected from the context once, when the first
+binder needs them (a proof without binders never walks its context), and
+each binder extends them with the names its new entries bring, so no side
+condition re-collects the names of the whole context.
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -238,8 +239,21 @@ def _conv_side(declared: Term, synthesized: Term, fuel: int, side: str, span) ->
     )
 
 
-def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]]) -> RelPfNode:
-    """Derive `p` under `ctx`; `names` is `free_vars(ctx)`."""
+def _scope_names(ctx: Context, names: list) -> list:
+    """`names`, with `free_vars(ctx)` collected into it first if it is still empty."""
+    if not names:
+        names.extend(free_vars(ctx))
+    return names
+
+
+def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
+    """Derive `p` under `ctx`.
+
+    `names` is `free_vars(ctx)` as a `[terms, types]` list. The root scope
+    starts with an empty list, shared by every node under it, and the first
+    binder that needs the names fills it in (`_scope_names`), so a proof
+    without binders never walks its context.
+    """
     match p:
         case PVar(name):
             entry = ctx_lookup(ctx, name)
@@ -259,9 +273,9 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]])
                     FRESHNESS_VIOLATION, f"proof variable '{pvar}' already assumed", p.span
                 )
             entry = ContextEntry(pvar, Var(subj_l), rel, Var(subj_r))
-            terms, types = names
+            terms, types = _scope_names(ctx, names)
             ann_terms, ann_types = free_vars(rel)
-            inner = (terms | ann_terms | {subj_l, subj_r}, types | ann_types)
+            inner = [terms | ann_terms | {subj_l, subj_r}, types | ann_types]
             bnode = _derive(ctx + (entry,), body, fuel, inner)
             bj = bnode.judgment
             res_terms, _ = free_vars(bj.rel)
@@ -300,7 +314,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]])
 
         case PTyLam(tvar, body):
             bnode = _derive(ctx, body, fuel, names)
-            if tvar in names[1]:
+            if tvar in _scope_names(ctx, names)[1]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
                     f"type variable '{tvar}' occurs free in the context",
@@ -392,9 +406,9 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]])
                 ContextEntry(pvar_l, sj.left, sj.rel.left, Var(mid_var)),
                 ContextEntry(pvar_r, Var(mid_var), sj.rel.right, sj.right),
             )
-            terms, types = names
+            terms, types = _scope_names(ctx, names)
             scrut_terms, scrut_types = free_vars(sj)
-            inner = (terms | scrut_terms | {mid_var}, types | scrut_types)
+            inner = [terms | scrut_terms | {mid_var}, types | scrut_types]
             bnode = _derive(ctx + new, body, fuel, inner)
             bj = bnode.judgment
             if mid_var in terms or mid_var in scrut_terms or mid_var in free_vars(bj)[0]:
@@ -411,7 +425,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: tuple[set[str], set[str]])
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, free_vars(ctx)).judgment
+    return _derive(ctx, p, fuel, []).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -434,4 +448,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, free_vars(ctx))
+    return _derive(ctx, p, fuel, [])

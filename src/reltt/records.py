@@ -15,7 +15,8 @@ was about 40 % of importing the package.
 The generated methods behave as the standard library's do for the options
 above:
 - `__init__` takes the `init=True` fields in order, with their defaults; a
-  frozen class sets them with `object.__setattr__`, and each call to a
+  frozen class sets them with `object.__setattr__`, or, with slots, with
+  each slot's own setter, which skips the attribute lookup; each call to a
   `default_factory` makes a fresh value;
 - `__repr__` prints `Name(field=value!r, ...)` over the `repr=True` fields;
 - `__eq__` compares the tuples of `compare=True` fields when both operands
@@ -112,7 +113,13 @@ def _process(cls, frozen, slots):
             value = f.name
         else:
             continue  # a field without default that `__init__` does not take
-        set_field = f"_set(self, {f.name!r}, {value})" if frozen else f"self.{f.name} = {value}"
+        if frozen and slots:
+            env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+            set_field = f"_set_{f.name}(self, {value})"
+        elif frozen:
+            set_field = f"_set(self, {f.name!r}, {value})"
+        else:
+            set_field = f"self.{f.name} = {value}"
         init.append(f"  {set_field}")
     shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields if f.repr)
     compared = [f.name for f in fields if f.compare]

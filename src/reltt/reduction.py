@@ -142,7 +142,8 @@ def _rebuild(kind: str, node: Term, left: Term | None, focus: Term) -> Term:
 def _plug(path: list[tuple], blocked: list[int], focus: Term, k: int) -> Term:
     """Pop the frames from the focus up to position `k`, and rebuild their nodes."""
     while len(path) > k:
-        focus = _rebuild(*path.pop(), focus)
+        kind, node, left = path.pop()
+        focus = _rebuild(kind, node, left, focus)
     while blocked and blocked[-1] >= k:
         blocked.pop()
     return focus

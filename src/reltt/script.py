@@ -439,13 +439,22 @@ def prelude_source() -> str:
     return resources.files("reltt").joinpath("prelude.rtt").read_text("utf-8")
 
 
+class LibraryError(RuntimeError):
+    """The packaged library parsed but failed to check.
+
+    Its own class, so that the CLI can report it as a configuration error
+    while any other failure during the load (a `RecursionError` is a
+    `RuntimeError` too) stays an internal error.
+    """
+
+
 @lru_cache(maxsize=None)
 def _prelude_env(fuel: int) -> Env:
     script = parse(prelude_source(), allow_dotted=True)
     result = run_script(script, fuel)
     if not result.ok:
         problems = [d.message for d in result.diagnostics if d.severity == "error"]
-        raise RuntimeError("the packaged library failed to check: " + "; ".join(problems))
+        raise LibraryError("the packaged library failed to check: " + "; ".join(problems))
     return result.env
 
 

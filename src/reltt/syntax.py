@@ -33,9 +33,12 @@ index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
 `index + 1` for `Bound`, `max(body.loose - 1, 0)` for `Lam`, and the larger of
 the two children's for `App`, and `t` is locally closed under `d` binders
 exactly when `t.loose <= d`. `shift_term`, `subst_bound` and `bound_occurs`
-return at once on a subterm that no index they act on reaches, so a reduction
-step costs only the part of the term it can change. `loose` is not a field of
-`==`, `hash`, `repr` or pattern matching.
+never enter a subterm that no index they act on reaches, so a reduction step
+costs only the part of the term it can change. A Python call is most of what
+a step costs, so they are module-level recursions, not closures made per
+call, and test a child's `loose` before they call themselves on it (see the
+comment above them). `loose` is not a field of `==`, `hash`, `repr` or
+pattern matching.
 
 Term variables and type variables live in separate namespaces. Types contain
 terms (inside `Promote`), terms never contain types, and no term binder scopes
@@ -57,11 +60,20 @@ from .records import dataclass, field
 class Term:
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # A class with slots gets each slot's own setter as `_set_<slot>`, which
+        # the constructors below call: it skips the attribute lookup that
+        # `object.__setattr__` makes on every call. This runs for every class
+        # made, the one that `dataclass(slots=True)` makes anew included, so a
+        # class always holds the setters of its own slots.
+        super().__init_subclass__(**kwargs)
+        for name in cls.__dict__.get("__slots__", ()):
+            setattr(cls, f"_set_{name}", getattr(cls, name).__set__)
+
 
 # `loose` (see the module docstring) is set once, in the constructor, from the
 # children's cached values, so reading it never recurses. Slots keep each
 # node small, the extra field included.
-_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +89,8 @@ class Bound(Term):
     loose: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int) -> None:
-        _set(self, "index", index)
-        _set(self, "loose", index + 1)
+        Bound._set_index(self, index)
+        Bound._set_loose(self, index + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,10 +100,10 @@ class Lam(Term):
     loose: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, hint: str, body: Term) -> None:
-        _set(self, "hint", hint)
-        _set(self, "body", body)
+        Lam._set_hint(self, hint)
+        Lam._set_body(self, body)
         n = body.loose
-        _set(self, "loose", n - 1 if n else 0)
+        Lam._set_loose(self, n - 1 if n else 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +113,10 @@ class App(Term):
     loose: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, fn: Term, arg: Term) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
+        App._set_fn(self, fn)
+        App._set_arg(self, arg)
         a, b = fn.loose, arg.loose
-        _set(self, "loose", a if a > b else b)
+        App._set_loose(self, a if a > b else b)
 
 
 def lam(name: str, body: Term) -> Lam:
@@ -158,23 +170,32 @@ def open_term(body: Term, repl: Term) -> Term:
     return rebuild_term(body, leaf)
 
 
-# The index primitives below sit on the reduction hot path, so they dispatch
-# on `type(t) is ...` rather than `match`: class patterns cost several times
-# more per node, and these run once per node of every contractum.
+# The index primitives below sit on the reduction hot path: they run once per
+# node of every contractum, so the cost of a Python call shapes them.
+# - They dispatch on `type(t) is ...` rather than `match`: class patterns cost
+#   several times more per node.
+# - Each recursion is a module-level function, not a closure, so a beta step
+#   makes no function object.
+# - Each tests a child's `loose` before it recurses into it, so a child that no
+#   index they act on reaches costs an attribute read instead of a call.
+# - They take one Python frame per level of the subterm a step rebuilds
+#   (`bound_occurs` none along a body or an argument); `test_reduction` pins
+#   the depth this allows at the stock recursion limit.
 
 
 def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every index at or above `cutoff`; unchanged subterms are reused."""
-    if t.loose <= cutoff:
-        return t
+    return _shift(t, by, cutoff) if t.loose > cutoff else t
+
+
+def _shift(t: Term, by: int, c: int) -> Term:
+    # `t.loose > c`: an index at or above `c` occurs in `t`, so `t` is rebuilt.
     ty = type(t)
     if ty is App:
         f, a = t.fn, t.arg
-        nf = shift_term(f, by, cutoff)
-        na = shift_term(a, by, cutoff)
-        return t if nf is f and na is a else App(nf, na)
+        return App(_shift(f, by, c) if f.loose > c else f, _shift(a, by, c) if a.loose > c else a)
     if ty is Lam:
-        return Lam(t.hint, shift_term(t.body, by, cutoff + 1))
+        return Lam(t.hint, _shift(t.body, by, c + 1))
     if ty is Bound:
         return Bound(t.index + by)
     raise TypeError(f"not a term: {t!r}")
@@ -190,40 +211,44 @@ def subst_bound(body: Term, index: int, arg: Term) -> Term:
     closed `arg` is never shifted, and subterms that no index at or above
     the substituted one reaches are reused without a visit.
     """
+    return _subst(body, index, arg) if body.loose > index else body
 
-    def go(t: Term, j: int) -> Term:
-        if t.loose <= j:
-            return t
-        ty = type(t)
-        if ty is App:
-            f, a = t.fn, t.arg
-            nf = go(f, j)
-            na = go(a, j)
-            return t if nf is f and na is a else App(nf, na)
-        if ty is Lam:
-            return Lam(t.hint, go(t.body, j + 1))
-        if ty is Bound:
-            i = t.index
-            if i != j:
-                return Bound(i - 1)
-            return shift_term(arg, j) if j else arg
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(body, index)
+def _subst(t: Term, j: int, arg: Term) -> Term:
+    # `t.loose > j`: the index `j`, or one above it, occurs in `t`.
+    ty = type(t)
+    if ty is App:
+        f, a = t.fn, t.arg
+        nf = _subst(f, j, arg) if f.loose > j else f
+        na = _subst(a, j, arg) if a.loose > j else a
+        return t if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        return Lam(t.hint, _subst(t.body, j + 1, arg))
+    if ty is Bound:
+        i = t.index
+        if i != j:
+            return Bound(i - 1)
+        return _shift(arg, j, 0) if j and arg.loose else arg
+    raise TypeError(f"not a term: {t!r}")
 
 
 def bound_occurs(t: Term, index: int) -> bool:
     """Whether the index `index` (counted from outside `t`) occurs in `t`."""
-    if t.loose <= index:
-        return False
-    ty = type(t)
-    if ty is App:
-        return bound_occurs(t.fn, index) or bound_occurs(t.arg, index)
-    if ty is Lam:
-        return bound_occurs(t.body, index + 1)
-    if ty is Bound:
-        return t.index == index
-    raise TypeError(f"not a term: {t!r}")
+    while t.loose > index:
+        ty = type(t)
+        if ty is App:
+            f = t.fn
+            if f.loose > index and bound_occurs(f, index):
+                return True
+            t = t.arg
+        elif ty is Lam:
+            t = t.body
+            index += 1
+        elif ty is Bound:
+            return t.index == index
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return False
 
 
 def subst_term(replacement: Term, var: str, target: Term) -> Term:

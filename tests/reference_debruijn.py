@@ -3,13 +3,16 @@
 A test oracle only, kept verbatim: every step searches the whole term again
 from the root for the leftmost-outermost redex and rebuilds the path to it.
 `test_reduction` checks the resuming engine against it, step counts, normal
-forms and fuel-exhausted terms included.
+forms and fuel-exhausted terms included. It steps with the index primitives
+frozen in `reference_syntax`, not the package's, so it does not run the
+code under test.
 """
 
 from __future__ import annotations
 
 from reltt.reduction import DEFAULT_FUEL, FUEL_EXHAUSTED, NORMAL, NormalizeResult
-from reltt.syntax import App, Bound, Lam, Term, Var, bound_occurs, shift_term, subst_bound
+from reference_syntax import bound_occurs, shift_term, subst_bound
+from reltt.syntax import App, Bound, Lam, Term, Var
 
 
 def step(t: Term) -> Term | None:

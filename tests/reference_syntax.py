@@ -1,8 +1,16 @@
-"""The seven hand-written rebuilds that `rebuild_term` and `rebuild_type` replaced.
+"""Superseded binder code of `reltt.syntax`, kept verbatim as test oracles.
 
-A test oracle only, kept verbatim: each function walks its syntax family on
-its own. `test_syntax` checks the views of the two rebuilds against them on
-seeded random terms and types, hints included.
+- The seven hand-written rebuilds that `rebuild_term` and `rebuild_type`
+  replaced: each walks its syntax family on its own. `test_syntax` checks
+  the views of the two rebuilds against them on seeded random terms and
+  types, hints included.
+- The index primitives `shift_term`, `subst_bound` and `bound_occurs` as
+  they were before they became closure-free, module-level recursions that
+  test a child's `loose` before each call. `subst_bound` makes a closure per
+  call here, and each function calls itself on a child only to find that no
+  index it acts on reaches it. `test_syntax` checks the package's primitives
+  against these, and `reference_debruijn` steps with these, so neither
+  oracle runs the code under test.
 """
 
 from __future__ import annotations
@@ -158,3 +166,66 @@ def subst_terms_in_type(sigma: dict[str, Term], target: RelType) -> RelType:
         case Promote(t):
             return Promote(subst_term_multi(sigma, t))
     raise TypeError(f"not a type: {target!r}")
+
+
+def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Add `by` to every index at or above `cutoff`; unchanged subterms are reused."""
+    if t.loose <= cutoff:
+        return t
+    ty = type(t)
+    if ty is App:
+        f, a = t.fn, t.arg
+        nf = shift_term(f, by, cutoff)
+        na = shift_term(a, by, cutoff)
+        return t if nf is f and na is a else App(nf, na)
+    if ty is Lam:
+        return Lam(t.hint, shift_term(t.body, by, cutoff + 1))
+    if ty is Bound:
+        return Bound(t.index + by)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subst_bound(body: Term, index: int, arg: Term) -> Term:
+    """Beta-substitute `arg` for the index `index` of a binder's `body`.
+
+    `arg` lives outside the binder, so where it lands under `index` binders
+    it is shifted up by `index`; the indices above `index` lose the binder
+    and drop by one. `subst_bound(body, 0, arg)` is the contractum of
+    `App(Lam(_, body), arg)`, with no fresh name and no open/close. A locally
+    closed `arg` is never shifted, and subterms that no index at or above
+    the substituted one reaches are reused without a visit.
+    """
+
+    def go(t: Term, j: int) -> Term:
+        if t.loose <= j:
+            return t
+        ty = type(t)
+        if ty is App:
+            f, a = t.fn, t.arg
+            nf = go(f, j)
+            na = go(a, j)
+            return t if nf is f and na is a else App(nf, na)
+        if ty is Lam:
+            return Lam(t.hint, go(t.body, j + 1))
+        if ty is Bound:
+            i = t.index
+            if i != j:
+                return Bound(i - 1)
+            return shift_term(arg, j) if j else arg
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(body, index)
+
+
+def bound_occurs(t: Term, index: int) -> bool:
+    """Whether the index `index` (counted from outside `t`) occurs in `t`."""
+    if t.loose <= index:
+        return False
+    ty = type(t)
+    if ty is App:
+        return bound_occurs(t.fn, index) or bound_occurs(t.arg, index)
+    if ty is Lam:
+        return bound_occurs(t.body, index + 1)
+    if ty is Bound:
+        return t.index == index
+    raise TypeError(f"not a term: {t!r}")

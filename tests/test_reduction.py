@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given
@@ -248,6 +249,32 @@ def test_deep_terms_normalize_at_the_stock_recursion_limit(default_recursion_lim
     assert (r.status, r.steps_used) == (NORMAL, 1)
     t = r.term
     for _ in range(3000):
+        assert t.fn == Var("g")
+        t = t.arg
+    assert t == Var("y")
+
+
+def test_a_beta_step_rebuilds_a_991_deep_body_at_the_stock_recursion_limit(
+    default_recursion_limit,
+):
+    # `(\x. g (g ... x)) y`: the index primitives recurse once per level of
+    # the body that the step rebuilds. 991 levels is the most that the
+    # closure-based primitives they replaced handled at the stock limit on
+    # 3.10 and 3.11 (993 on 3.12 and 3.13); a second Python frame per level
+    # would halve it. The step runs in a new thread, whose stack starts
+    # almost empty, so the depth does not depend on the test runner's.
+    body = Bound(0)
+    for _ in range(991):
+        body = App(Var("g"), body)
+    results = []
+    worker = threading.Thread(target=lambda: results.append(normalize(App(Lam("x", body), Var("y")))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(results) == 1
+    r = results[0]
+    assert (r.status, r.steps_used) == (NORMAL, 1)
+    t = r.term
+    for _ in range(991):
         assert t.fn == Var("g")
         t = t.arg
     assert t == Var("y")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -188,13 +189,18 @@ def test_cli_missing_file_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.fixture
-def failing_library(monkeypatch):
-    """A packaged library that does not check; the load cache is cleared
-    before and after, so no other test sees it."""
+def uncached_library():
+    """The library load cache cleared before and after, so the test loads the
+    library afresh and no other test sees what it loaded."""
     script._prelude_env.cache_clear()
-    monkeypatch.setattr(script, "prelude_source", lambda: "proof bad : [] |- a [R] b := u\n")
     yield
     script._prelude_env.cache_clear()
+
+
+@pytest.fixture
+def failing_library(uncached_library, monkeypatch):
+    """A packaged library that does not check."""
+    monkeypatch.setattr(script, "prelude_source", lambda: "proof bad : [] |- a [R] b := u\n")
 
 
 @pytest.mark.parametrize(
@@ -212,6 +218,31 @@ def test_cli_library_that_fails_to_load_is_a_config_error(argv, failing_library,
         "reltt: error[config]: the packaged library failed to check: "
         "unbound-proof-variable: 'u' is not assumed\n"
     )
+
+
+def test_a_library_that_fails_to_check_raises_its_own_error(failing_library):
+    with pytest.raises(script.LibraryError, match="^the packaged library failed to check: "):
+        prelude_env()
+
+
+def test_cli_recursion_error_while_loading_the_library_is_internal(uncached_library, capsys):
+    # A `RecursionError` is a `RuntimeError` too, but only a library that
+    # fails to check is a configuration error. The command runs in a new
+    # thread, whose stack starts almost empty, so that a limit of 120 is
+    # exceeded inside the library load and not before it.
+    codes = []
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        worker = threading.Thread(target=lambda: codes.append(main(["normalize", "x"])))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert not worker.is_alive() and codes == [EXIT_INTERNAL]
+    out = capsys.readouterr().out
+    assert out.startswith("reltt: error[internal]: RecursionError: ")
+    assert out.count("\n") == 1
 
 
 def test_cli_dump_flags_write_files(tmp_path, capsys):

@@ -10,6 +10,7 @@ import reference_syntax as reference
 from generators import (
     TERM_NAMES,
     TYPE_NAMES,
+    random_redex_term,
     random_scoped_term,
     random_scoped_type,
     term_strategy,
@@ -29,6 +30,7 @@ from reltt.syntax import (
     Var,
     all_,
     alpha_eq,
+    bound_occurs,
     close_term,
     close_type,
     free_term_vars,
@@ -39,6 +41,8 @@ from reltt.syntax import (
     locally_closed_term,
     open_term,
     open_type,
+    shift_term,
+    subst_bound,
     subst_term,
     subst_term_multi,
     subst_terms_in_type,
@@ -328,3 +332,53 @@ def test_rebuild_views_match_the_hand_written_walkers():
             sigma = _sigma(keys, some_type, TVar)
             agree(subst_tvars(sigma, r), reference.subst_tvars(sigma, r), r)
     assert counts["same"] > 4000 and counts["changed"] > 1000, counts
+
+
+def _nodes(t) -> list:
+    """Every node of `t`, outermost first."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if type(u) is App:
+            stack += (u.arg, u.fn)
+        elif type(u) is Lam:
+            stack.append(u.body)
+    return out
+
+
+def test_index_primitives_match_the_closure_based_ones():
+    # `shift_term`, `subst_bound` and `bound_occurs` against the versions
+    # frozen in reference_syntax, on terms with dangling indices and shared
+    # subterms, and on every beta and eta redex of terms full of redexes.
+    # Node by node, the results must agree in hints and in `loose`, and must
+    # reuse exactly the same input objects.
+    rng = random.Random(60221)
+    counts = {"same": 0, "changed": 0}
+
+    def agree(got, want, *inputs):
+        assert repr(got) == repr(want), (inputs, got, want)
+        known = {id(u) for x in inputs for u in _nodes(x)}
+        for g, w in zip(_nodes(got), _nodes(want)):
+            assert g.loose == w.loose, (inputs, g)
+            assert (id(g) in known, id(w) in known) in ((False, False), (True, True))
+            assert id(w) not in known or g is w, (inputs, w)
+        counts["same" if got is inputs[0] else "changed"] += 1
+
+    def check(body, arg):
+        for index in range(4):
+            agree(subst_bound(body, index, arg), reference.subst_bound(body, index, arg), body, arg)
+            assert bound_occurs(body, index) == reference.bound_occurs(body, index)
+            for by in (1, 2) if reference.bound_occurs(body, index) else (-1, 1, 2):
+                agree(shift_term(body, by, index), reference.shift_term(body, by, index), body)
+
+    for _ in range(600):
+        pool: list = []
+        t = random_scoped_term(rng, rng.randint(1, 20), rng.randrange(3), pool)
+        check(t, rng.choice((rng.choice(pool), random_scoped_term(rng, rng.randint(1, 6), 2))))
+        for u in _nodes(random_redex_term(rng, rng.randint(1, 30))):
+            if type(u) is App and type(u.fn) is Lam:
+                check(u.fn.body, u.arg)
+            elif type(u) is Lam and type(u.body) is App and u.body.arg == Bound(0):
+                check(u.body.fn, u.body.fn)
+    assert counts["same"] > 30000 and counts["changed"] > 15000, counts
