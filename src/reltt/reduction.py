@@ -24,6 +24,22 @@ needs no Python stack however deep the term is; only the index primitives
 recurse, into the subterms a contraction changes. `step` is a one-step view
 of the same engine, so the strategy is written once.
 
+A divergence that repeats itself costs one period, not the whole budget.
+When the contractum is itself the next redex, the search contracts again in
+place, and neither the path nor the blocked frames change: the focus is the
+whole search state. Once a run in place has made such a redex, Brent's cycle
+search compares each later focus of the run with a saved one, node types,
+names, indices and hints alike (the renderer prints hints), and moves the
+saved focus at powers of two. Most runs of a normalizing term end after
+their first contraction, so they compare nothing. A match `p` steps apart
+means that the search is in a state it was in `p` steps ago; since the
+strategy is deterministic, it will be in it again after every further
+multiple of `p`. So `normalize` adds the largest such multiple that the fuel
+allows to the steps used, and takes the last fewer than `p` steps one by
+one. The step count, the status and the term, hints included, are those of
+the step-by-step search; only the work is gone. Ω takes two contractions at
+any fuel, a period-3 divergence at most nine.
+
 Conversion never guesses. If fuel runs out before both sides normalize, the
 result is "undecided", and callers treat that as failure, not equality.
 """
@@ -79,6 +95,11 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
     blocked: list[int] = []
     focus = t
     used = 0
+    # Brent's cycle search over a run of contractions in place: `last` is the
+    # latest contractum; `saved`, None outside a run, is the focus of `lam`
+    # steps ago, and moves on when `lam` reaches `power`.
+    last = saved = None
+    power = lam = 0
     while True:
         ty = type(focus)
         if ty is App:
@@ -108,6 +129,19 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
             else:
                 return NormalizeResult(focus, NORMAL, used)
             continue
+        # Only a contraction in place leaves its contractum as the focus: the
+        # ancestor that `_plug` rebuilds is a new node.
+        if focus is last:
+            if saved is None:
+                saved, power, lam = focus, 1, 0
+            else:
+                lam += 1
+                if _identical(focus, saved):
+                    used += (fuel - used) // lam * lam
+                elif lam == power:
+                    saved, power, lam = focus, 2 * power, 0
+        elif saved is not None:
+            saved = None
         if used >= fuel:
             return NormalizeResult(_plug(path, blocked, focus, 0), FUEL_EXHAUSTED, used)
         if ty is App:
@@ -115,10 +149,38 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
         else:
             focus = shift_term(focus.body.fn, -1)
         used += 1
+        last = focus
         if path:
             k = _resumed(path, blocked, focus)
             if k >= 0:
                 focus = _plug(path, blocked, focus, k)
+
+
+def _identical(a: Term, b: Term) -> bool:
+    """Whether two terms are the same tree, `Lam` hints included.
+
+    `==` and `alpha_eq` ignore hints, but the renderer prints them, so a
+    period found with either could change a fuel-exhausted term's rendering.
+    """
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y = pop()
+        if x is y:
+            continue
+        ty = type(x)
+        if type(y) is not ty:
+            return False
+        if ty is App:
+            push((x.arg, y.arg))
+            push((x.fn, y.fn))
+        elif ty is Lam:
+            if x.hint != y.hint:
+                return False
+            push((x.body, y.body))
+        elif x != y:
+            return False
+    return True
 
 
 def _is_index0(t: Term) -> bool:

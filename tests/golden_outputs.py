@@ -5,7 +5,8 @@ Runs `reltt.cli.main` in-process from the repository root on:
 - `check` with the three dumps, and `check --trace`, on each corpus file and
   each negative file;
 - `analyze corpus/datatypes.rtt`;
-- `normalize` on a few terms (one with `--no-prelude`) at three fuels.
+- `normalize` on a few terms (one with `--no-prelude`) at three fuels;
+- a divergence at a fuel of a million, through `normalize` and `check`.
 
 Each run contributes its argument list, exit code, stdout and dump bytes.
 `tests/test_golden_outputs.py` compares the result with `golden_outputs.txt`.
@@ -42,6 +43,12 @@ NORMALIZE_TERMS = (
     ["(\\x. \\y. x y) (\\z. z)", "--no-prelude"],
 )
 FUELS = ("0", "5", "10000")
+# A million steps of a divergence that repeats itself: the step-by-step
+# engine produced these outputs, and the period skip must give them back.
+LONG_RUNS = (
+    ["normalize", "--fuel", "1000000", "(\\x. x x) (\\y. y y)"],
+    ["check", "--fuel", "1000000", "corpus/negative/conversion-undecided.rtt"],
+)
 
 
 def _script_files() -> list[str]:
@@ -76,6 +83,8 @@ def outputs() -> str:
         for term in NORMALIZE_TERMS:
             for fuel in FUELS:
                 runs.append(_run(["normalize", *term, "--fuel", fuel], {}))
+        for argv in LONG_RUNS:
+            runs.append(_run(argv, {}))
     finally:
         os.chdir(cwd)
     return "\n".join(runs)

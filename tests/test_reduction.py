@@ -12,6 +12,7 @@ import oracle_lambda as oracle
 import reference_debruijn as restarting
 import reference_reduction as reference
 from generators import affine_terms, random_redex_term, term_strategy
+from reltt import reduction
 from reltt.reduction import (
     DISTINCT,
     EQUAL,
@@ -23,7 +24,7 @@ from reltt.reduction import (
     step,
 )
 from reltt.prelude import numeral, stdlib
-from reltt.surface import render_term
+from reltt.surface import parse_term, render_term
 from reltt.syntax import App, Bound, Lam, Term, Var, alpha_eq, app, lam, term_size
 
 I = lam("x", Var("x"))
@@ -293,3 +294,61 @@ def test_conversion_compares_deep_equal_terms_at_the_stock_recursion_limit(
     assert left is not right
     assert conv_check(left, right) == EQUAL
     assert conv_check(left, App(right.fn, Var("b"))) == DISTINCT
+
+
+
+# Divergences the search meets in place (the contractum is the next redex at
+# the same position) or not, repeating or growing, with the hints changing.
+DIVERGENCES = {
+    "omega": r"(\x. x x) (\x. x x)",
+    "hints change on the first step": r"(\x. x x) (\y. y y)",
+    "period 2": r"(\x. (\y. y) (x x)) (\x. (\y. y) (x x))",
+    "period 3": r"(\x. (\y. y) ((\y. y) (x x))) (\x. (\y. y) ((\y. y) (x x)))",
+    "period 2, a beta and an eta": r"(\x. \y. x x y) (\x. \y. x x y)",
+    "under a binder": r"\z. (\x. x x) (\x. x x)",
+    "the argument of a stuck head": r"f ((\x. x x) (\x. x x))",
+    "under an eta-blocked frame": r"\x. x ((\x. x x) (\x. x x)) x",
+    "growing, never repeating": r"(\x. x x x) (\x. x x x)",
+}
+OMEGA_2 = parse_term(DIVERGENCES["period 2"])
+
+
+@pytest.mark.parametrize("case", DIVERGENCES)
+def test_divergences_match_the_step_by_step_engines_at_every_fuel(case):
+    t = parse_term(DIVERGENCES[case])
+    for fuel in range(65):
+        got = normalize(t, fuel)
+        assert got.status == FUEL_EXHAUSTED and got.steps_used == fuel, (case, fuel)
+        _assert_same_result(got, reference.normalize(t, fuel), (case, fuel))
+        _assert_same_result(got, restarting.normalize(t, fuel), (case, fuel))
+
+
+@pytest.fixture
+def few_contractions(monkeypatch):
+    """Count beta contractions, and fail past 32 of them.
+
+    An engine that reduces step by step then fails at once instead of
+    running for 10**9 steps.
+    """
+    contractions = 0
+    contract = reduction.subst_bound
+
+    def counted(body, index, arg):
+        nonlocal contractions
+        contractions += 1
+        if contractions > 32:
+            raise AssertionError("more than 32 contractions")
+        return contract(body, index, arg)
+
+    monkeypatch.setattr(reduction, "subst_bound", counted)
+
+
+@pytest.mark.parametrize("t", [OMEGA, OMEGA_2], ids=["omega", "period 2"])
+def test_a_repeating_divergence_costs_a_few_contractions_at_any_fuel(t, few_contractions):
+    r = normalize(t, 10**9)
+    # 10**9 is a multiple of both periods, so the term is back where it began.
+    assert (r.status, r.steps_used, render_term(r.term)) == (FUEL_EXHAUSTED, 10**9, render_term(t))
+
+
+def test_an_undecided_conversion_costs_a_few_contractions_at_any_fuel(few_contractions):
+    assert conv_check(OMEGA, Var("x"), 10**9) == UNDECIDED
