@@ -19,6 +19,12 @@ the derivation: they are collected from the context once, when the first
 binder needs them (a proof without binders never walks its context), and
 each binder extends them with the names its new entries bring, so no side
 condition re-collects the names of the whole context.
+An arrow introduction closes both subjects over its binders with `_close`,
+not `syntax.lam`: each `check` and `to_relpf` keeps one table of the subterms
+known to hold no name, and the close never enters one. That is sound because
+a subterm enters the table only once the close has seen that none of its
+leaves is a name, and closing a name-free subterm changes nothing; so a
+name-free part of a subject is walked once, not once per enclosing lambda.
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -31,11 +37,13 @@ from .syntax import (
     All,
     App,
     Arrow,
+    Bound,
     Comp,
     Context,
     ContextEntry,
     Conv,
     Judgment,
+    Lam,
     Promote,
     RelType,
     Term,
@@ -44,7 +52,6 @@ from .syntax import (
     close_type,
     ctx_lookup,
     free_vars,
-    lam,
     open_type,
     subst_term_multi,
 )
@@ -58,13 +65,13 @@ class Proof:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PVar(Proof):
     name: str
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLam(Proof):
     pvar: str
     subj_l: str
@@ -74,28 +81,28 @@ class PLam(Proof):
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PApp(Proof):
     fn: Proof
     arg: Proof
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTyApp(Proof):
     fn: Proof
     rel: RelType
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTyLam(Proof):
     tvar: str
     body: Proof
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PConv(Proof):
     left: Term
     body: Proof
@@ -103,26 +110,26 @@ class PConv(Proof):
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PConvI(Proof):
     body: Proof
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PConvE(Proof):
     body: Proof
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PIota(Proof):
     left: Term
     promoted: Term
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PRho(Proof):
     guide_var: str
     guide_l: Term
@@ -132,7 +139,7 @@ class PRho(Proof):
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPair(Proof):
     left: Proof
     right: Proof
@@ -140,7 +147,7 @@ class PPair(Proof):
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPi(Proof):
     scrutinee: Proof
     mid_var: str
@@ -197,7 +204,7 @@ RULE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelPfNode:
     """One rule instance in the display proof system."""
 
@@ -246,13 +253,92 @@ def _scope_names(ctx: Context, names: list) -> list:
     return names
 
 
-def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
+# The table of name-free subterms (see the module docstring) is keyed by `id`
+# and holds the node itself, so no id is reused while the table lives. A node
+# enters it only once `_close` has seen all of its leaves: those it reached,
+# and those below children the table already held. The nodes a close builds
+# are recorded too: once `Var(subj)` has become an index, a body often holds
+# no name at all, and the closes of the enclosing lambdas skip it whole.
+
+
+def _close(name: str, body: Term, nameless: dict) -> Lam:
+    """`lam(name, body)`, recording in `nameless` every name-free node it meets."""
+    ty = type(body)
+    if ty is Var:
+        free = body.name == name
+        t = Lam(name, Bound(0) if free else body)
+    elif ty is Bound or id(body) in nameless:
+        free = True
+        t = Lam(name, body)
+    else:
+        body = _close_under(body, name, 0, nameless)
+        free = id(body) in nameless
+        t = Lam(name, body)
+    if free:
+        nameless[id(t)] = t
+    return t
+
+
+def _close_under(t: Term, name: str, d: int, nameless: dict) -> Term:
+    """`t` with `Var(name)` replaced by the index of a binder `d` lambdas out.
+
+    `t` is an `App` or a `Lam` that `nameless` does not hold, and the result
+    is name-free exactly when `nameless` holds it. The walk goes down
+    function parts and lambda bodies in a loop and rebuilds on the way back
+    up, so only an argument that is neither a leaf nor held by `nameless`
+    costs a call.
+    """
+    path = []
+    while True:
+        ty = type(t)
+        if ty is App and id(t) not in nameless:
+            path.append(t)
+            t = t.fn
+        elif ty is Lam and id(t) not in nameless:
+            path.append(t)
+            t = t.body
+            d += 1
+        else:
+            break
+    if ty is Var:
+        free = t.name == name
+        if free:
+            t = Bound(d)
+    else:
+        free = True  # a `Bound`, or a node the table holds
+    for node in reversed(path):
+        if type(node) is Lam:
+            d -= 1
+            t = node if t is node.body else Lam(node.hint, t)
+        else:
+            a = node.arg
+            ty = type(a)
+            if ty is Var:
+                if a.name == name:
+                    na = Bound(d)
+                else:
+                    na = a
+                    free = False
+            elif ty is Bound or id(a) in nameless:
+                na = a
+            else:
+                na = _close_under(a, name, d, nameless)
+                if free and id(na) not in nameless:
+                    free = False
+            t = node if t is node.fn and na is a else App(t, na)
+        if free:
+            nameless[id(t)] = t
+    return t
+
+
+def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> RelPfNode:
     """Derive `p` under `ctx`.
 
     `names` is `free_vars(ctx)` as a `[terms, types]` list. The root scope
     starts with an empty list, shared by every node under it, and the first
     binder that needs the names fills it in (`_scope_names`), so a proof
-    without binders never walks its context.
+    without binders never walks its context. `nameless` is the root's table
+    of subterms that hold no name (see `_close`), shared by every node.
     """
     match p:
         case PVar(name):
@@ -276,7 +362,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             terms, types = _scope_names(ctx, names)
             ann_terms, ann_types = free_vars(rel)
             inner = [terms | ann_terms | {subj_l, subj_r}, types | ann_types]
-            bnode = _derive(ctx + (entry,), body, fuel, inner)
+            bnode = _derive(ctx + (entry,), body, fuel, inner, nameless)
             bj = bnode.judgment
             res_terms, _ = free_vars(bj.rel)
             for binder in (subj_l, subj_r):
@@ -286,12 +372,14 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
                         f"subject binder '{binder}' occurs free in the context or types",
                         p.span,
                     )
-            judgment = Judgment(lam(subj_l, bj.left), Arrow(rel, bj.rel), lam(subj_r, bj.right))
+            left = _close(subj_l, bj.left, nameless)
+            right = _close(subj_r, bj.right, nameless)
+            judgment = Judgment(left, Arrow(rel, bj.rel), right)
             return _node(p, judgment, (bnode,))
 
         case PApp(fn, arg):
-            fnode = _derive(ctx, fn, fuel, names)
-            anode = _derive(ctx, arg, fuel, names)
+            fnode = _derive(ctx, fn, fuel, names, nameless)
+            anode = _derive(ctx, arg, fuel, names, nameless)
             fj, aj = fnode.judgment, anode.judgment
             if not isinstance(fj.rel, Arrow):
                 raise KernelError(NOT_AN_ARROW, "application head does not have an arrow type", p.span)
@@ -305,7 +393,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             return _node(p, judgment, (fnode, anode))
 
         case PTyApp(fn, rel):
-            fnode = _derive(ctx, fn, fuel, names)
+            fnode = _derive(ctx, fn, fuel, names, nameless)
             fj = fnode.judgment
             if not isinstance(fj.rel, All):
                 raise KernelError(NOT_A_UNIVERSAL, "type application head is not universal", p.span)
@@ -313,7 +401,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             return _node(p, judgment, (fnode,))
 
         case PTyLam(tvar, body):
-            bnode = _derive(ctx, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names, nameless)
             if tvar in _scope_names(ctx, names)[1]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
@@ -325,19 +413,19 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             return _node(p, judgment, (bnode,))
 
         case PConv(left, body, right):
-            bnode = _derive(ctx, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names, nameless)
             bj = bnode.judgment
             _conv_side(left, bj.left, fuel, "left", p.span)
             _conv_side(right, bj.right, fuel, "right", p.span)
             return _node(p, Judgment(left, bj.rel, right), (bnode,))
 
         case PConvI(body):
-            bnode = _derive(ctx, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names, nameless)
             bj = bnode.judgment
             return _node(p, Judgment(bj.right, Conv(bj.rel), bj.left), (bnode,))
 
         case PConvE(body):
-            bnode = _derive(ctx, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names, nameless)
             bj = bnode.judgment
             if not isinstance(bj.rel, Conv):
                 raise KernelError(
@@ -350,7 +438,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             return _node(p, judgment, ())
 
         case PRho(guide_var, guide_l, guide_r, eq, body):
-            enode = _derive(ctx, eq, fuel, names)
+            enode = _derive(ctx, eq, fuel, names, nameless)
             ej = enode.judgment
             if not isinstance(ej.rel, Promote):
                 raise KernelError(
@@ -359,7 +447,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             applied = App(ej.rel.term, ej.left)
             expect_l = subst_term_multi({guide_var: applied}, guide_l)
             expect_r = subst_term_multi({guide_var: applied}, guide_r)
-            bnode = _derive(ctx, body, fuel, names)
+            bnode = _derive(ctx, body, fuel, names, nameless)
             bj = bnode.judgment
             if not (alpha_eq(bj.left, expect_l) and alpha_eq(bj.right, expect_r)):
                 raise KernelError(
@@ -372,8 +460,8 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             return _node(p, Judgment(result, bj.rel, result_r), (enode, bnode))
 
         case PPair(left, right, mid):
-            lnode = _derive(ctx, left, fuel, names)
-            rnode = _derive(ctx, right, fuel, names)
+            lnode = _derive(ctx, left, fuel, names, nameless)
+            rnode = _derive(ctx, right, fuel, names, nameless)
             lj, rj = lnode.judgment, rnode.judgment
             if not (alpha_eq(lj.right, rj.left) and alpha_eq(lj.right, mid)):
                 raise KernelError(
@@ -391,7 +479,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
                     "composition eliminator binders must be pairwise distinct",
                     p.span,
                 )
-            snode = _derive(ctx, scrutinee, fuel, names)
+            snode = _derive(ctx, scrutinee, fuel, names, nameless)
             sj = snode.judgment
             if not isinstance(sj.rel, Comp):
                 raise KernelError(
@@ -409,7 +497,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
             terms, types = _scope_names(ctx, names)
             scrut_terms, scrut_types = free_vars(sj)
             inner = [terms | scrut_terms | {mid_var}, types | scrut_types]
-            bnode = _derive(ctx + new, body, fuel, inner)
+            bnode = _derive(ctx + new, body, fuel, inner, nameless)
             bj = bnode.judgment
             if mid_var in terms or mid_var in scrut_terms or mid_var in free_vars(bj)[0]:
                 raise KernelError(
@@ -425,7 +513,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, []).judgment
+    return _derive(ctx, p, fuel, [], {}).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -448,4 +536,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, [])
+    return _derive(ctx, p, fuel, [], {})

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from .analysis import (
     MINUS,
@@ -436,7 +436,9 @@ def export_prelude() -> str:
 
 
 def prelude_source() -> str:
-    return resources.files("reltt").joinpath("prelude.rtt").read_text("utf-8")
+    # Read beside this module, not through `importlib.resources`, which
+    # imports `inspect` on Python 3.12 and later.
+    return Path(__file__).with_name("prelude.rtt").read_text("utf-8")
 
 
 class LibraryError(RuntimeError):

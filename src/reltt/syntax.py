@@ -26,7 +26,12 @@ as the same object. Closing (`close_term`, `close_type`), opening
 (`subst_term_multi`, `subst_tvars`, `subst_terms_in_type`) are each just a
 leaf function over one of the two. System F types are relational types too
 (see `systemf.is_f_type`), so they share these binder operations rather than
-keeping their own.
+keeping their own. The kernel closes the subjects of an arrow introduction
+with a walk of its own (`kernel._close`): it returns what `lam` returns, but
+skips every subterm that a table kept for one derivation records as holding
+no name, since closing such a subterm changes nothing under any name. A
+derivation's subjects grow under nested binders, so `lam` would walk the
+same name-free subterms once per enclosing binder.
 
 Every term caches its loose-index range in `loose`: one more than the largest
 index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
@@ -290,36 +295,36 @@ class RelType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TVar(RelType):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TBound(RelType):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow(RelType):
     dom: RelType
     cod: RelType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class All(RelType):
     hint: str = field(compare=False)
     body: RelType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conv(RelType):
     """Converse R^."""
 
     rel: RelType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comp(RelType):
     """Composition R . R' (relational, left then right)."""
 
@@ -327,7 +332,7 @@ class Comp(RelType):
     right: RelType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Promote(RelType):
     """{t}: the graph of application, relating a to (t a)."""
 
@@ -431,7 +436,7 @@ def type_size(r: RelType) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextEntry:
     """One assumption: pvar witnesses that left and right are related at rel."""
 
@@ -444,7 +449,7 @@ class ContextEntry:
 Context = tuple[ContextEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgment:
     left: Term
     rel: RelType

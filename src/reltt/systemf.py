@@ -125,31 +125,31 @@ class FDerivation:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DVar(FDerivation):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DAbs(FDerivation):
     binder: str
     ann: RelType
     body: FDerivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DApp(FDerivation):
     fn: FDerivation
     arg: FDerivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DGen(FDerivation):
     tvar: str
     body: FDerivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DInst(FDerivation):
     arg: RelType
     body: FDerivation

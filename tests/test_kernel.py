@@ -5,8 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_kernel
+from generators import TERM_NAMES, term_strategy
 from proof_tools import map_free_terms, rename_binders
 from reltt import script
 from reltt.kernel import (
@@ -28,6 +31,7 @@ from reltt.kernel import (
     PTyApp,
     PTyLam,
     PVar,
+    _close,
     check,
     check_declared,
     to_relpf,
@@ -35,6 +39,7 @@ from reltt.kernel import (
 from reltt.prelude import bool_discrimination
 from reltt.script import prelude_env, run_script
 from reltt.surface import parse
+from reltt.systemf import self_witness
 from reltt.syntax import (
     App,
     Arrow,
@@ -42,6 +47,7 @@ from reltt.syntax import (
     ContextEntry,
     Conv,
     Judgment,
+    Lam,
     Promote,
     TVar,
     Var,
@@ -332,3 +338,84 @@ def test_kernel_matches_the_kernel_that_recollects_free_names(monkeypatch):
     # whose proof derives and only differs from its declared judgment.
     assert rejected == len(negatives) - 1
 
+
+
+def test_the_kernel_matches_the_reference_kernel_on_the_library_self_witnesses():
+    # `self_witness` embeds each library proof's F derivation and re-derives
+    # it; those embedded proofs nest the most `fun`s of any input, so they
+    # lean on the table of name-free subterms hardest. `repr` compares the
+    # binder hints that `==` leaves out.
+    library = prelude_env().proofs.values()
+    assert len(library) == 17
+    for e in library:
+        ctx, proof, _ = self_witness(e.ctx, e.proof, e.fuel)
+        got = to_relpf(ctx, proof, e.fuel)
+        want = reference_kernel.to_relpf(ctx, proof, e.fuel)
+        assert got == want and repr(got) == repr(want)
+
+
+def _leaves(t):
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is App:
+            stack += (x.fn, x.arg)
+        elif type(x) is Lam:
+            stack.append(x.body)
+        else:
+            yield x
+
+
+def _reuses_the_same_subterms(before, after, before_ref, after_ref):
+    """Whether the two rebuilds reuse an input node at the same places."""
+    stack = [(before, after, before_ref, after_ref)]
+    while stack:
+        t, r, t_ref, r_ref = stack.pop()
+        if (r is t) != (r_ref is t_ref):
+            return False
+        if r is not t and type(t) is App:
+            stack += ((t.fn, r.fn, t_ref.fn, r_ref.fn), (t.arg, r.arg, t_ref.arg, r_ref.arg))
+        elif r is not t and type(t) is Lam:
+            stack.append((t.body, r.body, t_ref.body, r_ref.body))
+    return True
+
+
+@given(
+    term_strategy(),
+    st.lists(
+        st.tuples(st.sampled_from(TERM_NAMES), term_strategy(), st.sampled_from(("body", "fn", "arg"))),
+        max_size=6,
+    ),
+)
+def test_kernel_closes_that_share_a_table_match_lam(first, steps):
+    # Each step closes a body built from the previous result, as a `fun`
+    # closes a body judgment built under earlier ones; the kernel's closes
+    # all share one table, as the closes of one derivation do.
+    nameless = {}
+    mine = ref = first
+    for name, other, shape in steps:
+        if shape == "body":
+            body, body_ref = mine, ref
+        elif shape == "fn":
+            body, body_ref = App(mine, other), App(ref, other)
+        else:
+            body, body_ref = App(other, mine), App(other, ref)
+        mine, ref = _close(name, body, nameless), lam(name, body_ref)
+        assert mine == ref and repr(mine) == repr(ref)
+        assert _reuses_the_same_subterms(Lam(name, body), mine, Lam(name, body_ref), ref)
+    for node in nameless.values():
+        assert not any(type(leaf) is Var for leaf in _leaves(node))
+
+
+def test_a_fun_closes_a_3000_argument_spine_at_the_stock_recursion_limit(default_recursion_limit):
+    # The right subject `(\z. g x) (f a ... a)` holds one long application
+    # spine, which the `fun` close walks in a loop; the rebuild that
+    # `syntax.lam` makes takes a Python frame per argument.
+    spine = Var("f")
+    for _ in range(3000):
+        spine = App(spine, Var("a"))
+    x, g = Var("x"), Var("g")
+    right = App(lam("z", App(g, x)), spine)
+    j = check((), PLam("u", "x", R, "y", PConv(x, PIota(x, g), right)))
+    assert j.left == lam("x", x) and j.rel == Arrow(R, Promote(g))
+    assert type(j.right) is Lam and j.right.body is right

@@ -289,3 +289,12 @@ def test_defaults_and_fresh_default_factories_match_the_dataclass_twin(cls, pool
         if f.default_factory is not dataclasses.MISSING:
             assert getattr(first, f.name) == f.default_factory()
             assert getattr(first, f.name) is not getattr(second, f.name)
+
+
+def test_core_records_have_no_instance_dict(pool):
+    # Terms, types, judgments, proofs, kernel derivations and F derivations
+    # are made by the thousand per check, so each is a slots record; a record
+    # class added to these modules without slots fails here.
+    modules = ("reltt.syntax", "reltt.kernel", "reltt.systemf")
+    for cls in (cls for cls in pool if cls.__module__ in modules):
+        assert not any(hasattr(x, "__dict__") for x in pool[cls]), cls.__qualname__
