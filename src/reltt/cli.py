@@ -12,11 +12,18 @@ Exit codes: 0 on success, 1 when a check fails, 2 on parse or configuration
 failure (a negative `--fuel` included), 3 on an internal error. An internal
 error prints one `reltt: error[internal]: <Type>: <message>` line instead of
 a traceback; it is always a bug, never a verdict on the input.
+
+The argument parser is built on the first `main` call and kept for the life of
+the process, so importing the module builds none and a program that calls
+`main` many times builds it once. Sharing it is safe: `parse_args` makes a
+fresh namespace per call and never changes the parser, and a usage error or
+`--help` writes to the `sys.stderr` or `sys.stdout` of the moment it happens.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -175,6 +182,7 @@ def _fuel(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reltt", description="Check relational typing proof scripts."

@@ -140,21 +140,36 @@ def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> 
     """Rebuild `t` with each `Var` or `Bound` leaf `x` replaced by `leaf(x, d)`.
 
     `d` is `depth` plus the number of lambdas between `t` and the leaf. A
-    subterm the rebuild leaves unchanged is returned as the same object.
+    subterm the rebuild leaves unchanged is returned as the same object. The
+    walk goes down function parts and lambda bodies in a loop and rebuilds on
+    the way back up, so a long application spine or a chain of lambdas costs
+    no Python frames; only an argument that is not a leaf costs a call.
     """
-    ty = type(t)
-    if ty is App:
-        f, a = t.fn, t.arg
-        nf = rebuild_term(f, leaf, depth)
-        na = rebuild_term(a, leaf, depth)
-        return t if nf is f and na is a else App(nf, na)
-    if ty is Lam:
-        b = t.body
-        nb = rebuild_term(b, leaf, depth + 1)
-        return t if nb is b else Lam(t.hint, nb)
-    if ty is Var or ty is Bound:
-        return leaf(t, depth)
-    raise TypeError(f"not a term: {t!r}")
+    path = []
+    while True:
+        ty = type(t)
+        if ty is App:
+            path.append(t)
+            t = t.fn
+        elif ty is Lam:
+            path.append(t)
+            t = t.body
+            depth += 1
+        elif ty is Var or ty is Bound:
+            break
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    t = leaf(t, depth)
+    for node in reversed(path):
+        if type(node) is Lam:
+            depth -= 1
+            t = node if t is node.body else Lam(node.hint, t)
+        else:
+            a = node.arg
+            ty = type(a)
+            na = leaf(a, depth) if ty is Var or ty is Bound else rebuild_term(a, leaf, depth)
+            t = node if t is node.fn and na is a else App(t, na)
+    return t
 
 
 def close_term(t: Term, name: str) -> Term:

@@ -409,8 +409,7 @@ def test_kernel_closes_that_share_a_table_match_lam(first, steps):
 
 def test_a_fun_closes_a_3000_argument_spine_at_the_stock_recursion_limit(default_recursion_limit):
     # The right subject `(\z. g x) (f a ... a)` holds one long application
-    # spine, which the `fun` close walks in a loop; the rebuild that
-    # `syntax.lam` makes takes a Python frame per argument.
+    # spine, which the `fun` close walks in a loop.
     spine = Var("f")
     for _ in range(3000):
         spine = App(spine, Var("a"))

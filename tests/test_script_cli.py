@@ -381,6 +381,15 @@ def test_cli_normalizes_a_long_application_spine(capsys, default_recursion_limit
         assert capsys.readouterr().out == f"normal form (0 steps): {spine}\n"
 
 
+def test_cli_normalizes_a_long_application_spine_with_the_library(capsys, default_recursion_limit):
+    # Elaboration substitutes the library's names along the whole spine
+    # (`subst_term_multi`), and `rebuild_term` walks a spine in a loop.
+    for length in (2000, 3000):
+        spine = "f" + " a" * length
+        assert main(["normalize", spine]) == EXIT_OK
+        assert capsys.readouterr().out == f"normal form (0 steps): {spine}\n"
+
+
 def test_cli_turns_any_internal_error_into_one_line_and_exit_3(tmp_path, capsys, monkeypatch):
     # The guard itself, independent of which input can still exhaust the
     # parser's recursion: a multi-line message is joined onto one line.

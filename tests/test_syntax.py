@@ -334,6 +334,37 @@ def test_rebuild_views_match_the_hand_written_walkers():
     assert counts["same"] > 4000 and counts["changed"] > 1000, counts
 
 
+def _unwind(t) -> tuple:
+    """The lambdas around `t`, then the head and the arguments of its spine."""
+    lams, args = 0, []
+    while type(t) is Lam:
+        lams, t = lams + 1, t.body
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    return lams, t, args
+
+
+def test_rebuild_term_walks_spines_and_lambda_chains_in_a_loop(default_recursion_limit):
+    # 3,000 lambdas around a 3,000-argument spine `f a ... a`: closing,
+    # opening and substitution take no Python frame per lambda or argument.
+    chain = Var("f")
+    for _ in range(3000):
+        chain = App(chain, Var("a"))
+    for _ in range(3000):
+        chain = Lam("x", chain)
+    closed = close_term(chain, "a")
+    lams, head, args = _unwind(closed)
+    assert (lams, head, len(args)) == (3000, Var("f"), 3000)
+    assert all(a == Bound(3000) for a in args)
+    lams, head, args = _unwind(open_term(closed, Var("b")))
+    assert (lams, head, len(args)) == (3000, Var("f"), 3000)
+    assert all(a == Var("b") for a in args)
+    lams, head, args = _unwind(subst_term_multi({"f": Var("g")}, chain))
+    assert (lams, head, len(args)) == (3000, Var("g"), 3000)
+    assert subst_term_multi({"absent": Var("g")}, chain) is chain
+
+
 def _nodes(t) -> list:
     """Every node of `t`, outermost first."""
     out, stack = [], [t]
