@@ -18,6 +18,15 @@ Four jobs live here:
 manufactures a new proof whose judgment relates the erasure to its dotted
 copy at the projected type.
 
+Projection and validation each run once per accepted proof in a process.
+`project_derivation` keeps the derivation it built for a proof object (with
+its context and fuel), and `validate_f` the (subject, type) pair it found for
+a derivation object (with its context), in two bounded tables keyed by object
+identity. So the library's worker, its self-witness and the System F dump
+share one kernel pass, one projection and one validation per proof. Reuse
+asks for the same objects, never for equal ones: `==` ignores the binder
+hints that the renderer prints. Failures are never recorded.
+
 System F types are not a syntax of their own: they are the relational types
 that `is_f_type` accepts (type variables, arrows and universals only).
 
@@ -171,6 +180,21 @@ class FError(Exception):
         self.message = message
 
 
+# Every accepted projection and validation of the process, keyed by the id of
+# the proof or derivation it was made from. An entry holds that object, so no
+# id is reused while the entry lives. Once a table holds BRIDGE_TABLE_SIZE
+# entries, the oldest goes first. Both dicts are only ever mutated in place.
+BRIDGE_TABLE_SIZE = 256
+_projections: dict[int, tuple] = {}
+_validations: dict[int, tuple] = {}
+
+
+def _record(table: dict[int, tuple], key: object, entry: tuple) -> None:
+    if len(table) >= BRIDGE_TABLE_SIZE and id(key) not in table:
+        del table[next(iter(table))]
+    table[id(key)] = entry
+
+
 def _fctx_lookup(delta: FContext, name: str) -> RelType | None:
     for n, t in delta:
         if n == name:
@@ -188,13 +212,29 @@ def _require_f_type(t: RelType, what: str) -> None:
 
 
 def validate_f(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
-    """Check an explicit derivation rule by rule; return (subject, type)."""
+    """Check an explicit derivation rule by rule; return (subject, type).
+
+    An accepted derivation is validated once: a later call with the same
+    derivation object, and a context with the same names and the same type
+    objects, returns the same (subject, type) pair from `_validations`. The
+    types are compared by identity because `==` ignores the binder hints
+    that the renderer prints. A rejected derivation is never recorded.
+    """
+    entry = _validations.get(id(d))
+    if entry is not None and entry[0] is d and _same_fctx(entry[1], delta):
+        return entry[2]
     names = [n for n, _ in delta]
     if len(set(names)) != len(names):
         raise FError(F_FRESHNESS_VIOLATION, "duplicate variable in context")
     for n, t in delta:
         _require_f_type(t, f"the context type of '{n}'")
-    return _validate(delta, d)
+    result = _validate(delta, d)
+    _record(_validations, d, (d, delta, result))
+    return result
+
+
+def _same_fctx(a: FContext, b: FContext) -> bool:
+    return len(a) == len(b) and all(m == n and s is t for (m, s), (n, t) in zip(a, b))
 
 
 def _validate(delta: FContext, d: FDerivation) -> tuple[Term, RelType]:
@@ -400,11 +440,26 @@ def project_derivation(
 ) -> FDerivation:
     """Translate an accepted proof into an explicit System F derivation of
     its erasure at its projected type, one rule at a time over the
-    derivation tree."""
-    node = to_relpf(ctx, p, fuel)
-    if result is not None and not alpha_eq(node.judgment, result):
+    derivation tree.
+
+    Each proof is derived and projected once: a later call with the same
+    context and proof objects and an equal fuel returns the same derivation
+    from `_projections`, without running the kernel again. `result` is
+    compared with the proof's judgment on every call. A proof the kernel
+    rejects, or one whose judgment differs from `result`, is never recorded.
+    """
+    entry = _projections.get(id(p))
+    if entry is not None and entry[1] is p and entry[0] is ctx and entry[2] == fuel:
+        judgment, deriv = entry[3], entry[4]
+    else:
+        node = to_relpf(ctx, p, fuel)
+        judgment, deriv = node.judgment, None
+    if result is not None and not alpha_eq(judgment, result):
         raise ValueError("supplied kernel result does not match the proof")
-    return _project_node(project_ctx(ctx), node)
+    if deriv is None:
+        deriv = _project_node(project_ctx(ctx), node)
+        _record(_projections, p, (ctx, p, fuel, judgment, deriv))
+    return deriv
 
 
 def _project_node(delta: FContext, node: RelPfNode) -> FDerivation:
@@ -644,7 +699,13 @@ def self_witness(
     ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL
 ) -> tuple[Context, Proof, Judgment]:
     """From an accepted proof, produce a proof that its erasure is related to
-    the dotted copy of itself at the projected type."""
+    the dotted copy of itself at the projected type.
+
+    The projection and the embedding's validation come from the bridge
+    tables when the same proof was projected (and its derivation validated)
+    before under the same context and fuel; the witness itself is new, so
+    its `check` always runs.
+    """
     deriv = project_derivation(ctx, p, fuel=fuel)
     delta = project_ctx(ctx)
     ctx2, q = embed_f(delta, deriv)
