@@ -40,7 +40,7 @@ from .script import (
     prelude_env,
     run_script,
 )
-from .surface import ParseError, TermDef, TypeDef, parse, parse_term, render_term
+from .surface import ParseError, Script, TermDef, TypeDef, parse, parse_term, render_term
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -83,23 +83,34 @@ def _run(args) -> int:
     return args.run(args, base)
 
 
+def _read_script(path: str) -> tuple[str, Script] | None:
+    """The source of `path` and its parse, or None once the failure is printed.
+
+    A file that cannot be read, or is not UTF-8, is a configuration error;
+    a source that does not parse is a parse error.
+    """
+    try:
+        source = Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"reltt: error[config]: cannot read {path}: {e}")
+        return None
+    try:
+        return source, parse(source)
+    except ParseError as e:
+        _print_parse_error(path, source, e)
+        return None
+
+
 def _cmd_check(args, base: Env) -> int:
     parse_failed = False
     check_failed = False
     checked = []
     for path in args.files:
-        try:
-            source = Path(path).read_text("utf-8")
-        except OSError as e:
-            print(f"reltt: error[config]: cannot read {path}: {e}")
+        read = _read_script(path)
+        if read is None:
             parse_failed = True
             continue
-        try:
-            script = parse(source)
-        except ParseError as e:
-            _print_parse_error(path, source, e)
-            parse_failed = True
-            continue
+        source, script = read
         result = run_script(script, args.fuel, env=base, trace=args.trace)
         _print_diagnostics(path, source, result.diagnostics)
         if not result.ok:
@@ -120,16 +131,10 @@ def _cmd_check(args, base: Env) -> int:
 
 
 def _cmd_analyze(args, env: Env) -> int:
-    try:
-        source = Path(args.file).read_text("utf-8")
-    except OSError as e:
-        print(f"reltt: error[config]: cannot read {args.file}: {e}")
+    read = _read_script(args.file)
+    if read is None:
         return EXIT_USAGE
-    try:
-        script = parse(source)
-    except ParseError as e:
-        _print_parse_error(args.file, source, e)
-        return EXIT_USAGE
+    source, script = read
 
     failed = False
     reported = 0

@@ -23,8 +23,10 @@ from .syntax import (
     All,
     App,
     Arrow,
+    Bound,
     Comp,
     Conv,
+    Lam,
     Promote,
     RelType,
     TBound,
@@ -146,11 +148,6 @@ def rec(x: str, r: RelType) -> RelType:
 # ---------------------------------------------------------------------------
 
 
-def compose_terms(t: Term, tp: Term) -> Term:
-    """t . t' = \\x. t (t' x)"""
-    return lam("x", App(t, App(tp, Var("x"))))
-
-
 def gen_fmap(x: str, r: RelType) -> Term:
     """The functorial map term, one equation per type constructor."""
     # F-shape is hereditary, so one check of the whole type covers every part.
@@ -159,20 +156,23 @@ def gen_fmap(x: str, r: RelType) -> Term:
 
 
 def _fmap(x: str, r: RelType) -> Term:
+    # Every map is a closed term, so each lambda is built with its indices in
+    # place: closing over a name would walk the map built so far once per
+    # enclosing arrow. An arrow's map is \f a. (F_cod f . a) . F_dom f, with
+    # `.` the composition \x. t (t' x).
     match r:
         case TVar(n):
             return I_TERM if n == x else KI_TERM
         case Arrow(dom, cod):
             fm_dom = _fmap(x, dom)
             fm_cod = _fmap(x, cod)
-            body = compose_terms(
-                compose_terms(App(fm_cod, Var("f")), Var("a")), App(fm_dom, Var("f"))
-            )
-            return lam("f", lam("a", body))
+            cod_part = Lam("x", App(App(fm_cod, Bound(3)), App(Bound(2), Bound(0))))
+            body = App(cod_part, App(App(fm_dom, Bound(2)), Bound(0)))
+            return Lam("f", Lam("a", Lam("x", body)))
         case All(h, b):
             y = fresh(h or "Y", {x} | free_vars(r)[1])
             inner = _fmap(x, open_type(b, TVar(y)))
-            return lam("f", App(inner, Var("f")))
+            return Lam("f", App(inner, Bound(0)))
         case TBound(_):
             raise ValueError("gen_fmap expects a locally closed type")
     raise TypeError(f"not a type: {r!r}")

@@ -263,18 +263,9 @@ def _scope_names(ctx: Context, names: list) -> list:
 
 def _close(name: str, body: Term, nameless: dict) -> Lam:
     """`lam(name, body)`, recording in `nameless` every name-free node it meets."""
-    ty = type(body)
-    if ty is Var:
-        free = body.name == name
-        t = Lam(name, Bound(0) if free else body)
-    elif ty is Bound or id(body) in nameless:
-        free = True
-        t = Lam(name, body)
-    else:
-        body = _close_under(body, name, 0, nameless)
-        free = id(body) in nameless
-        t = Lam(name, body)
-    if free:
+    body = _close_under(body, name, 0, nameless)
+    t = Lam(name, body)
+    if type(body) is Bound or id(body) in nameless:
         nameless[id(t)] = t
     return t
 
@@ -282,11 +273,11 @@ def _close(name: str, body: Term, nameless: dict) -> Lam:
 def _close_under(t: Term, name: str, d: int, nameless: dict) -> Term:
     """`t` with `Var(name)` replaced by the index of a binder `d` lambdas out.
 
-    `t` is an `App` or a `Lam` that `nameless` does not hold, and the result
-    is name-free exactly when `nameless` holds it. The walk goes down
-    function parts and lambda bodies in a loop and rebuilds on the way back
-    up, so only an argument that is neither a leaf nor held by `nameless`
-    costs a call.
+    The result is name-free exactly when it is a `Bound` or `nameless` holds
+    it: a leaf is never recorded, and a node that `nameless` holds comes back
+    unchanged. The walk goes down function parts and lambda bodies in a loop
+    and rebuilds on the way back up, so only an argument that is neither a
+    leaf nor held by `nameless` costs a call.
     """
     path = []
     while True:

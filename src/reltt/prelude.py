@@ -84,7 +84,7 @@ from .syntax import (
     fresh,
     lam,
     open_type,
-    subst_tvar,
+    subst_tvars,
 )
 from .systemf import (
     I_TERM,
@@ -262,7 +262,7 @@ def gen_in_deriv(
             f"'{x}' does not occur only positively in the parameter",
         )
     d = dparam(x, r)
-    d_sub = subst_tvar(d, x, r)
+    d_sub = subst_tvars({x: d}, r)
 
     taken = set(avoid)
     xv = fresh("x", taken)
@@ -497,7 +497,7 @@ def stdlib() -> dict[str, StdlibEntry]:
             Arrow(NAT_F, TVar("X")),
         ),
     )
-    in_f = Arrow(subst_tvar(NAT_F, "X", project_type(_ONE_PLUS_X)), NAT_F)
+    in_f = Arrow(subst_tvars({"X": NAT_F}, project_type(_ONE_PLUS_X)), NAT_F)
     rebuild_f = Arrow(NAT_F, NAT_F)
     nat_op = [
         ("I", id_f, DGen("A", DAbs("x", a, DVar("x")))),
@@ -521,17 +521,6 @@ def stdlib() -> dict[str, StdlibEntry]:
     return {
         name: _entry(name, terms[name], ftype, deriv) for name, ftype, deriv in nat_op
     }
-
-
-def numeral(k: int) -> Term:
-    """The k-th numeral as iterated successor applications on zero."""
-    if k < 0:
-        raise ValueError(f"numeral index must be non-negative, got {k}")
-    terms = _stdlib_terms()
-    t = terms["zero"]
-    for _ in range(k):
-        t = App(terms["succ"], t)
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,6 @@ def lam(name: str, body: Term) -> Lam:
     return Lam(name, close_term(body, name))
 
 
-def app(fn: Term, *args: Term) -> Term:
-    t = fn
-    for a in args:
-        t = App(t, a)
-    return t
-
-
 def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild `t` with each `Var` or `Bound` leaf `x` replaced by `leaf(x, d)`.
 
@@ -271,11 +264,6 @@ def bound_occurs(t: Term, index: int) -> bool:
     return False
 
 
-def subst_term(replacement: Term, var: str, target: Term) -> Term:
-    """[replacement/var]target. Capture-avoiding by representation."""
-    return subst_term_multi({var: replacement}, target)
-
-
 def subst_term_multi(sigma: dict[str, Term], target: Term) -> Term:
     """Simultaneous substitution of free term variables."""
 
@@ -283,22 +271,6 @@ def subst_term_multi(sigma: dict[str, Term], target: Term) -> Term:
         return sigma.get(x.name, x) if type(x) is Var else x
 
     return rebuild_term(target, leaf)
-
-
-def term_size(t: Term) -> int:
-    match t:
-        case Var(_) | Bound(_):
-            return 1
-        case Lam(_, b):
-            return 1 + term_size(b)
-        case App(f, a):
-            return 1 + term_size(f) + term_size(a)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def locally_closed_term(t: Term, depth: int = 0) -> bool:
-    """Whether every index in `t` is bound by `t` or by `depth` binders around it."""
-    return t.loose <= depth
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +375,6 @@ def open_type(body: RelType, repl: RelType) -> RelType:
     return rebuild_type(body, leaf)
 
 
-def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:
-    """[replacement/tvar]target on type variables."""
-    return subst_tvars({tvar: replacement}, target)
-
-
 def subst_tvars(sigma: dict[str, RelType], target: RelType) -> RelType:
     """Simultaneous substitution of free type variables."""
 
@@ -427,23 +394,6 @@ def subst_terms_in_type(sigma: dict[str, Term], target: RelType) -> RelType:
         return x if t is x.term else Promote(t)
 
     return rebuild_type(target, leaf)
-
-
-def type_size(r: RelType) -> int:
-    match r:
-        case TVar(_) | TBound(_):
-            return 1
-        case Arrow(d, c):
-            return 1 + type_size(d) + type_size(c)
-        case All(_, b):
-            return 1 + type_size(b)
-        case Conv(x):
-            return 1 + type_size(x)
-        case Comp(l, rr):
-            return 1 + type_size(l) + type_size(rr)
-        case Promote(t):
-            return 1 + term_size(t)
-    raise TypeError(f"not a type: {r!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +475,6 @@ def _collect(e, terms: set[str], types: set[str]) -> None:
             _collect(item, terms, types)
     else:
         raise TypeError(f"free_vars: unsupported {e!r}")
-
-
-def free_term_vars(e) -> set[str]:
-    return free_vars(e)[0]
 
 
 def free_type_vars(e) -> set[str]:

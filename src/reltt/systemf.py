@@ -169,7 +169,6 @@ FContext = tuple[tuple[str, RelType], ...]
 RULE_MISMATCH = "rule-mismatch"
 UNBOUND_VARIABLE = "unbound-variable"
 F_FRESHNESS_VIOLATION = "freshness-violation"
-SHADOWING_VIOLATION = "shadowing-violation"
 DOTTED_COLLISION = "dotted-collision"
 
 
@@ -193,13 +192,6 @@ def _record(table: dict[int, tuple], key: object, entry: tuple) -> None:
     if len(table) >= BRIDGE_TABLE_SIZE and id(key) not in table:
         del table[next(iter(table))]
     table[id(key)] = entry
-
-
-def _fctx_lookup(delta: FContext, name: str) -> RelType | None:
-    for n, t in delta:
-        if n == name:
-            return t
-    return None
 
 
 def _fctx_ftvars(delta: FContext) -> set[str]:
@@ -606,87 +598,6 @@ def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
             return PTyLam(tvar, _embed(body, env, avoid))
         case DInst(arg, body):
             return PTyApp(_embed(body, env, avoid), arg)
-    raise TypeError(f"not an F derivation: {d!r}")
-
-
-# ---------------------------------------------------------------------------
-# Weakening
-# ---------------------------------------------------------------------------
-
-
-def weaken_f(
-    d: FDerivation, insert: tuple[str, RelType], at: int, delta: FContext = ()
-) -> FDerivation:
-    """Re-derive under delta widened with `insert` at position `at`.
-
-    Internal binders that would clash with the inserted name (or generalize a
-    type variable the inserted type mentions) are renamed first, then the
-    result is validated in the widened context.
-    """
-    name, ftype = insert
-    if _fctx_lookup(delta, name) is not None:
-        raise FError(SHADOWING_VIOLATION, f"'{name}' is already declared")
-    widened = delta[:at] + (insert,) + delta[at:]
-    taken = {n for n, _ in widened} | _collect_binders(d)
-    renamed = _rename_clashes(d, {}, {}, {name}, free_type_vars(ftype), taken)
-    validate_f(widened, renamed)
-    return renamed
-
-
-def _collect_binders(d: FDerivation) -> set[str]:
-    match d:
-        case DVar(_):
-            return set()
-        case DAbs(binder, _, body):
-            return {binder} | _collect_binders(body)
-        case DApp(fn, arg):
-            return _collect_binders(fn) | _collect_binders(arg)
-        case DGen(_, body) | DInst(_, body):
-            return _collect_binders(body)
-    raise TypeError(f"not an F derivation: {d!r}")
-
-
-def _rename_clashes(
-    d: FDerivation,
-    term_map: dict[str, str],
-    ty_map: dict[str, str],
-    bad_names: set[str],
-    bad_tvars: set[str],
-    taken: set[str],
-) -> FDerivation:
-    match d:
-        case DVar(name):
-            return DVar(term_map.get(name, name))
-        case DAbs(binder, ann, body):
-            new = binder
-            if binder in bad_names:
-                new = fresh(binder, taken | bad_names)
-                taken.add(new)
-            inner = dict(term_map)
-            inner[binder] = new
-            return DAbs(
-                new,
-                rename_ftvars(ann, ty_map),
-                _rename_clashes(body, inner, ty_map, bad_names, bad_tvars, taken),
-            )
-        case DApp(fn, arg):
-            return DApp(
-                _rename_clashes(fn, term_map, ty_map, bad_names, bad_tvars, taken),
-                _rename_clashes(arg, term_map, ty_map, bad_names, bad_tvars, taken),
-            )
-        case DGen(tvar, body):
-            new = tvar
-            inner = dict(ty_map)
-            if tvar in bad_tvars:
-                new = fresh(tvar, taken | bad_tvars)
-                taken.add(new)
-            inner[tvar] = new
-            return DGen(new, _rename_clashes(body, term_map, inner, bad_names, bad_tvars, taken))
-        case DInst(arg, body):
-            return DInst(
-                rename_ftvars(arg, ty_map),
-                _rename_clashes(body, term_map, ty_map, bad_names, bad_tvars, taken),
-            )
     raise TypeError(f"not an F derivation: {d!r}")
 
 

@@ -1,10 +1,14 @@
-"""Test-side transformations over proof terms.
+"""Test-side helpers over terms, types and proof terms.
 
 `map_free_terms` pushes a term substitution through every embedded term and
 type while respecting the binders proofs introduce. `rename_binders` produces
 a systematic alpha-variant of a proof by suffixing every binder it introduces.
 Both exist to probe kernel determinism; the package itself never rewrites
 proofs this way.
+
+The small helpers (spines, sizes, single substitutions, free term names,
+composition and the library's numerals) are conveniences for writing tests;
+the checker itself never calls them.
 """
 
 from __future__ import annotations
@@ -24,15 +28,97 @@ from reltt.kernel import (
     PVar,
     Proof,
 )
+from reltt.prelude import _stdlib_terms
 from reltt.syntax import (
+    All,
+    App,
+    Arrow,
+    Bound,
+    Comp,
+    Conv,
+    Lam,
+    Promote,
     RelType,
+    TBound,
     Term,
     TVar,
     Var,
+    free_vars,
+    lam,
     subst_term_multi,
     subst_terms_in_type,
-    subst_tvar,
+    subst_tvars,
 )
+
+
+def app(fn: Term, *args: Term) -> Term:
+    t = fn
+    for a in args:
+        t = App(t, a)
+    return t
+
+
+def compose_terms(t: Term, tp: Term) -> Term:
+    """t . t' = \\x. t (t' x)"""
+    return lam("x", App(t, App(tp, Var("x"))))
+
+
+def subst_term(replacement: Term, var: str, target: Term) -> Term:
+    """[replacement/var]target. Capture-avoiding by representation."""
+    return subst_term_multi({var: replacement}, target)
+
+
+def subst_tvar(replacement: RelType, tvar: str, target: RelType) -> RelType:
+    """[replacement/tvar]target on type variables."""
+    return subst_tvars({tvar: replacement}, target)
+
+
+def numeral(k: int) -> Term:
+    """The k-th numeral as iterated successor applications on zero."""
+    if k < 0:
+        raise ValueError(f"numeral index must be non-negative, got {k}")
+    terms = _stdlib_terms()
+    t = terms["zero"]
+    for _ in range(k):
+        t = App(terms["succ"], t)
+    return t
+
+
+def free_term_vars(e) -> set[str]:
+    return free_vars(e)[0]
+
+
+def locally_closed_term(t: Term, depth: int = 0) -> bool:
+    """Whether every index in `t` is bound by `t` or by `depth` binders around it."""
+    return t.loose <= depth
+
+
+def term_size(t: Term) -> int:
+    match t:
+        case Var(_) | Bound(_):
+            return 1
+        case Lam(_, b):
+            return 1 + term_size(b)
+        case App(f, a):
+            return 1 + term_size(f) + term_size(a)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def type_size(r: RelType) -> int:
+    match r:
+        case TVar(_) | TBound(_):
+            return 1
+        case Arrow(d, c):
+            return 1 + type_size(d) + type_size(c)
+        case All(_, b):
+            return 1 + type_size(b)
+        case Conv(x):
+            return 1 + type_size(x)
+        case Comp(l, rr):
+            return 1 + type_size(l) + type_size(rr)
+        case Promote(t):
+            return 1 + term_size(t)
+    raise TypeError(f"not a type: {r!r}")
 
 
 def _drop(sigma: dict[str, Term], names: tuple[str, ...]) -> dict[str, Term]:

@@ -8,6 +8,7 @@ checks that both print identical strings.
 
 from __future__ import annotations
 
+from proof_tools import free_term_vars
 from reltt.syntax import (
     All,
     App,
@@ -23,7 +24,6 @@ from reltt.syntax import (
     Term,
     Var,
     fresh,
-    free_term_vars,
     free_type_vars,
     open_term,
     open_type,

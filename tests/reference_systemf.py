@@ -8,6 +8,9 @@ annotation twice, and `_embed` copies its environment and avoid set per
 `DAbs`. `reltt.systemf` resolves binders through a scope in one walk
 instead; `test_systemf` checks that both give equal results (hints
 included) and equal errors.
+
+`weaken_f`, at the end, is a test helper rather than an oracle: it widens a
+derivation's context and re-validates it with the package's validator.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from reltt.kernel import (
     RelPfNode,
     to_relpf,
 )
+from reltt import systemf
 from reltt.reduction import DEFAULT_FUEL
 from reltt.syntax import (
     All,
@@ -69,12 +73,22 @@ from reltt.systemf import (
     FContext,
     FDerivation,
     FError,
-    _fctx_lookup,
     _require_f_type,
     _require_undotted_deriv,
     dot_name,
     is_dotted,
+    rename_ftvars,
 )
+
+SHADOWING_VIOLATION = "shadowing-violation"
+
+
+def _fctx_lookup(delta: FContext, name: str) -> RelType | None:
+    for n, t in delta:
+        if n == name:
+            return t
+    return None
+
 
 def _fctx_ftvars(delta: FContext) -> set[str]:
     return free_type_vars([t for _, t in delta])
@@ -323,4 +337,85 @@ def _embed(d: FDerivation, env: dict[str, str], avoid: set[str]) -> Proof:
             return PTyLam(tvar, _embed(body, env, avoid))
         case DInst(arg, body):
             return PTyApp(_embed(body, env, avoid), arg)
+    raise TypeError(f"not an F derivation: {d!r}")
+
+
+# ---------------------------------------------------------------------------
+# Weakening
+# ---------------------------------------------------------------------------
+
+
+def weaken_f(
+    d: FDerivation, insert: tuple[str, RelType], at: int, delta: FContext = ()
+) -> FDerivation:
+    """Re-derive under delta widened with `insert` at position `at`.
+
+    Internal binders that would clash with the inserted name (or generalize a
+    type variable the inserted type mentions) are renamed first, then the
+    result is validated in the widened context by `reltt.systemf`.
+    """
+    name, ftype = insert
+    if _fctx_lookup(delta, name) is not None:
+        raise FError(SHADOWING_VIOLATION, f"'{name}' is already declared")
+    widened = delta[:at] + (insert,) + delta[at:]
+    taken = {n for n, _ in widened} | _collect_binders(d)
+    renamed = _rename_clashes(d, {}, {}, {name}, free_type_vars(ftype), taken)
+    systemf.validate_f(widened, renamed)
+    return renamed
+
+
+def _collect_binders(d: FDerivation) -> set[str]:
+    match d:
+        case DVar(_):
+            return set()
+        case DAbs(binder, _, body):
+            return {binder} | _collect_binders(body)
+        case DApp(fn, arg):
+            return _collect_binders(fn) | _collect_binders(arg)
+        case DGen(_, body) | DInst(_, body):
+            return _collect_binders(body)
+    raise TypeError(f"not an F derivation: {d!r}")
+
+
+def _rename_clashes(
+    d: FDerivation,
+    term_map: dict[str, str],
+    ty_map: dict[str, str],
+    bad_names: set[str],
+    bad_tvars: set[str],
+    taken: set[str],
+) -> FDerivation:
+    match d:
+        case DVar(name):
+            return DVar(term_map.get(name, name))
+        case DAbs(binder, ann, body):
+            new = binder
+            if binder in bad_names:
+                new = fresh(binder, taken | bad_names)
+                taken.add(new)
+            inner = dict(term_map)
+            inner[binder] = new
+            return DAbs(
+                new,
+                rename_ftvars(ann, ty_map),
+                _rename_clashes(body, inner, ty_map, bad_names, bad_tvars, taken),
+            )
+        case DApp(fn, arg):
+            return DApp(
+                _rename_clashes(fn, term_map, ty_map, bad_names, bad_tvars, taken),
+                _rename_clashes(arg, term_map, ty_map, bad_names, bad_tvars, taken),
+            )
+        case DGen(tvar, body):
+            new = tvar
+            inner = dict(ty_map)
+            if tvar in bad_tvars:
+                new = fresh(tvar, taken | bad_tvars)
+                taken.add(new)
+            inner[tvar] = new
+            return DGen(new, _rename_clashes(body, term_map, inner, bad_names, bad_tvars, taken))
+        case DInst(arg, body):
+            return DInst(
+                rename_ftvars(arg, ty_map),
+                _rename_clashes(body, term_map, ty_map, bad_names, bad_tvars, taken),
+            )
     raise TypeError(f"not an F derivation: {d!r}")

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from generators import random_type
-from proof_tools import rename_binders
+from proof_tools import app, numeral, rename_binders, subst_tvar, type_size
 from reltt.analysis import MINUS, PLUS, polarity_holds
 from reltt.cli import EXIT_CHECK, main
 from reltt.kernel import Judgment, check, to_relpf
@@ -23,7 +23,6 @@ from reltt.prelude import (
     bool_discrimination,
     gen_fmap_deriv,
     gen_in_deriv,
-    numeral,
     stdlib,
 )
 from reltt.reduction import DISTINCT, EQUAL, UNDECIDED, conv_check
@@ -37,11 +36,8 @@ from reltt.syntax import (
     Var,
     alpha_eq,
     all_,
-    app,
     free_type_vars,
     lam,
-    subst_tvar,
-    type_size,
 )
 from reltt.systemf import (
     embed_f,

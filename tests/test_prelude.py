@@ -9,12 +9,12 @@ import pytest
 import oracle_lambda as oracle
 import reference_forms as old
 from generators import TYPE_NAMES, random_f_type, random_term, random_type
+from proof_tools import compose_terms, numeral, subst_tvar
 from reltt.analysis import MINUS, PLUS
 from reltt.derived import (
     MALFORMED_PARAMETER,
     PreludeError,
     bool_,
-    compose_terms,
     conj,
     dconj,
     dind,
@@ -47,7 +47,6 @@ from reltt.prelude import (
     gen_rebuild,
     impprod_intro,
     int_typing_l,
-    numeral,
     promote_intro,
     proof_builders,
     stdlib,
@@ -56,6 +55,7 @@ from reltt.prelude import (
 from reltt.reduction import EQUAL, conv_check
 from reltt.surface import parse_type, render_type
 from reltt.syntax import (
+    All,
     App,
     Arrow,
     Comp,
@@ -66,8 +66,10 @@ from reltt.syntax import (
     Var,
     all_,
     alpha_eq,
+    free_vars,
+    fresh,
     lam,
-    subst_tvar,
+    open_type,
 )
 from reltt.systemf import (
     is_f_type,
@@ -200,11 +202,42 @@ def test_fmap_checks_the_f_shape_once_per_call(monkeypatch):
     assert len(checked) == 2
 
 
+def _named_fmap(x, r):
+    """`gen_fmap` built over names: each arrow composes its maps with
+    `compose_terms`, and `lam` closes every binder over the map built so far."""
+    match r:
+        case TVar(n):
+            return derived.I_TERM if n == x else derived.KI_TERM
+        case Arrow(dom, cod):
+            cod_part = compose_terms(App(_named_fmap(x, cod), Var("f")), Var("a"))
+            return lam("f", lam("a", compose_terms(cod_part, App(_named_fmap(x, dom), Var("f")))))
+        case All(h, b):
+            y = fresh(h or "Y", {x} | free_vars(r)[1])
+            return lam("f", App(_named_fmap(x, open_type(b, TVar(y))), Var("f")))
+    raise TypeError(f"not a type: {r!r}")
+
+
+def _arrow_chains(n):
+    """A right-nested and a left-nested arrow chain, and nested `all`s, `n` deep."""
+    right = left = under_all = TVar("X")
+    for i in range(n):
+        right = Arrow(TVar("Y" if i % 2 else "X"), right)
+        left = Arrow(left, TVar("X"))
+        under_all = all_("Y", Arrow(TVar("Y"), under_all))
+    return [right, left, under_all]
+
+
 def test_fmap_at_an_arrow_composes_both_sides():
     fm = gen_fmap("X", Arrow(TVar("Y"), TVar("X")))
     cod = compose_terms(App(I, Var("f")), Var("a"))
     want = lam("f", lam("a", compose_terms(cod, App(App(K, I), Var("f")))))
     assert alpha_eq(fm, want)
+    # `repr` shows every binder hint. The chains stay shallow enough for a
+    # recursive `repr` at the stock recursion limit on every supported Python.
+    rng = random.Random(1821)
+    types = [random_f_type(rng, rng.randint(1, 14)) for _ in range(300)]
+    for r in types + _arrow_chains(40):
+        assert repr(gen_fmap("X", r)) == repr(_named_fmap("X", r)), r
 
 
 def test_fmap_for_sums_matches_the_oracle():

@@ -12,6 +12,7 @@ import oracle_lambda as oracle
 import reference_debruijn as restarting
 import reference_reduction as reference
 from generators import affine_terms, random_redex_term, term_strategy
+from proof_tools import app, numeral, term_size
 from reltt import reduction
 from reltt.reduction import (
     DISTINCT,
@@ -23,9 +24,9 @@ from reltt.reduction import (
     normalize,
     step,
 )
-from reltt.prelude import numeral, stdlib
+from reltt.prelude import stdlib
 from reltt.surface import parse_term, render_term
-from reltt.syntax import App, Bound, Lam, Term, Var, alpha_eq, app, lam, term_size
+from reltt.syntax import App, Bound, Lam, Term, Var, alpha_eq, lam
 
 I = lam("x", Var("x"))
 OMEGA = App(lam("x", App(Var("x"), Var("x"))), lam("x", App(Var("x"), Var("x"))))

@@ -188,6 +188,16 @@ def test_cli_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error[config]" in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_cli_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    f = tmp_path / "bad.rtt"
+    f.write_bytes(b"def a := \xff\xfe x\n")
+    assert main([command, str(f), "--no-prelude"]) == EXIT_USAGE
+    out = capsys.readouterr().out
+    assert out.startswith(f"reltt: error[config]: cannot read {f}: 'utf-8' codec")
+    assert out.count("\n") == 1
+
+
 @pytest.fixture
 def uncached_library():
     """The library load cache cleared before and after, so the test loads the

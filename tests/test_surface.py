@@ -24,6 +24,7 @@ from generators import (
     term_strategy,
     type_strategy,
 )
+from proof_tools import app
 from reltt.kernel import (
     PConv,
     PConvE,
@@ -66,7 +67,6 @@ from reltt.syntax import (
     TVar,
     Var,
     all_,
-    app,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

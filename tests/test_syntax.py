@@ -16,6 +16,7 @@ from generators import (
     term_strategy,
     type_strategy,
 )
+from proof_tools import free_term_vars, locally_closed_term, subst_term, subst_tvar, term_size
 from reltt.syntax import (
     App,
     Arrow,
@@ -33,22 +34,17 @@ from reltt.syntax import (
     bound_occurs,
     close_term,
     close_type,
-    free_term_vars,
     free_type_vars,
     free_vars,
     fresh,
     lam,
-    locally_closed_term,
     open_term,
     open_type,
     shift_term,
     subst_bound,
-    subst_term,
     subst_term_multi,
     subst_terms_in_type,
-    subst_tvar,
     subst_tvars,
-    term_size,
 )
 
 I = lam("z", Var("z"))

@@ -10,7 +10,8 @@ from hypothesis import given
 
 import reference_systemf as reference
 from generators import random_scoped_type, random_type, random_unchecked_proof, type_strategy
-from proof_tools import rename_binders
+from proof_tools import app, rename_binders
+from reference_systemf import SHADOWING_VIOLATION, weaken_f
 from reltt.kernel import (
     PApp,
     PConv,
@@ -42,7 +43,6 @@ from reltt.syntax import (
     Var,
     all_,
     alpha_eq,
-    app,
     lam,
 )
 from reltt.systemf import (
@@ -50,7 +50,6 @@ from reltt.systemf import (
     F_FRESHNESS_VIOLATION,
     I_TERM,
     RULE_MISMATCH,
-    SHADOWING_VIOLATION,
     DAbs,
     DApp,
     DGen,
@@ -68,7 +67,6 @@ from reltt.systemf import (
     rel_of_ftype,
     self_witness,
     validate_f,
-    weaken_f,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
