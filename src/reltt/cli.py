@@ -9,7 +9,9 @@ class, and the symmetric/transitive shape analyses for each type definition.
 non-negative integer, and 0 is allowed.
 
 Exit codes: 0 on success, 1 when a check fails, 2 on parse or configuration
-failure (a negative `--fuel` included), 3 on an internal error. An internal
+failure (a negative `--fuel`, an input it cannot read, a dump path it cannot
+write, or a packaged library proof that fails to check when a command reads
+it), 3 on an internal error. An internal
 error prints one `reltt: error[internal]: <Type>: <message>` line instead of
 a traceback; it is always a bug, never a verdict on the input.
 
@@ -73,14 +75,14 @@ def _print_diagnostics(path: str, source: str, diagnostics: list[Diagnostic]) ->
 
 
 def _run(args) -> int:
-    """Load the base environment once for every command, then run it; a
-    library that fails to check is a configuration error."""
+    """Load the base environment once for every command, then run it. A
+    library that fails to check is a configuration error, whether it fails
+    while loading or when the command reads one of its proofs."""
     try:
-        base = Env() if args.no_prelude else prelude_env(args.fuel)
+        return args.run(args, Env() if args.no_prelude else prelude_env(args.fuel))
     except LibraryError as e:
         print(f"reltt: error[config]: {e}")
         return EXIT_USAGE
-    return args.run(args, base)
 
 
 def _read_script(path: str) -> tuple[str, Script] | None:
@@ -102,13 +104,13 @@ def _read_script(path: str) -> tuple[str, Script] | None:
 
 
 def _cmd_check(args, base: Env) -> int:
-    parse_failed = False
+    usage_failed = False
     check_failed = False
     checked = []
     for path in args.files:
         read = _read_script(path)
         if read is None:
-            parse_failed = True
+            usage_failed = True
             continue
         source, script = read
         result = run_script(script, args.fuel, env=base, trace=args.trace)
@@ -123,9 +125,13 @@ def _cmd_check(args, base: Env) -> int:
         (args.dump_systemf, "systemf"),
     ):
         if flag:
-            Path(flag).write_bytes(dump(checked, what))
+            try:
+                Path(flag).write_bytes(dump(checked, what))
+            except OSError as e:
+                print(f"reltt: error[config]: cannot write {flag}: {e}")
+                usage_failed = True
 
-    if parse_failed:
+    if usage_failed:
         return EXIT_USAGE
     return EXIT_CHECK if check_failed else EXIT_OK
 

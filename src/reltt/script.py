@@ -20,11 +20,24 @@ never reads it, such as the packaged library's loader, never renders it.
 Dumps are line-delimited JSON with sorted keys, UTF-8, rendered through the
 surface syntax so terms and types round-trip through the parser. The System F
 dump re-checks each proof under the fuel it was checked with.
+
+The packaged library (`prelude.rtt`) is read in two parts. Its `type` and
+`def` statements load eagerly: they are terms and types, not claims, and
+they are all a user script can build on. Its `*_wit` proofs are claims
+about those terms. No user result rests on them, since proof names are not
+abbreviations and dumps cover only a run's own proofs, so each is kept as
+its source text and parsed and checked the first time it is read (`#check
+NAME`, `env.proofs[NAME]`, `.values()`), once per process and fuel. Every
+witness is still checked: by the Tier-1 tests, by the benchmark's `library`
+workload, which runs the whole file through `run_script`, and on demand.
+A witness that fails to check raises `LibraryError` when it is read.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Mapping
 from functools import lru_cache
 from pathlib import Path
 
@@ -129,14 +142,47 @@ class CheckedProof:
     fuel: int  # the fuel the proof was checked under; dumps re-check with it
 
 
+class Proofs(Mapping):
+    """Checked proofs by name, in the order they were added.
+
+    A value may also be a library witness held as its source text (see
+    `_Witness`); reading it (`proofs[name]`, `.values()`, `.items()`) checks
+    it. `in`, `len`, iteration over the names and `copy` check nothing.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries=()) -> None:
+        self._entries = dict(entries)
+
+    def __getitem__(self, name: str) -> CheckedProof:
+        value = self._entries[name]
+        return value.read() if type(value) is _Witness else value
+
+    def __setitem__(self, name: str, proof: "CheckedProof | _Witness") -> None:
+        self._entries[name] = proof
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def copy(self) -> "Proofs":
+        return Proofs(self._entries)
+
+
 @dataclass
 class Env:
     terms: dict[str, Term] = field(default_factory=dict)
     types: dict[str, RelType] = field(default_factory=dict)
-    proofs: dict[str, CheckedProof] = field(default_factory=dict)
+    proofs: dict[str, CheckedProof] | Proofs = field(default_factory=dict)
 
     def copy(self) -> "Env":
-        return Env(dict(self.terms), dict(self.types), dict(self.proofs))
+        return Env(dict(self.terms), dict(self.types), self.proofs.copy())
 
 
 @dataclass
@@ -283,6 +329,15 @@ def _relpf_lines(node: RelPfNode, depth: int = 0) -> list[str]:
     return lines
 
 
+def _check_proof(stmt: ProofDef, env: Env, fuel: int) -> CheckedProof:
+    """Elaborate a `proof` statement against env and check it under fuel;
+    a proof that does not check raises `KernelError`."""
+    ctx = tuple(_elab_entry(e, env) for e in stmt.ctx)
+    proof = _elab_proof(stmt.proof, env)
+    judgment = check_declared(ctx, proof, _elab_judgment(stmt.judgment, env), fuel)
+    return CheckedProof(stmt.name, ctx, judgment, proof, fuel)
+
+
 def run_script(
     script: Script,
     fuel: int = DEFAULT_FUEL,
@@ -306,24 +361,20 @@ def run_script(
                 diag = _define(stmt, env)
                 if diag is not None:
                     diags.append(diag)
-            case ProofDef(name, ctx, declared, proof, span):
+            case ProofDef(name=name, span=span):
                 if name in env.proofs:
                     error(span, "redefinition", f"'{name}' is already defined")
                     continue
-                ctx2 = tuple(_elab_entry(e, env) for e in ctx)
-                declared2 = _elab_judgment(declared, env)
-                proof2 = _elab_proof(proof, env)
                 try:
-                    judgment = check_declared(ctx2, proof2, declared2, file_fuel)
+                    record = _check_proof(stmt, env, file_fuel)
                 except KernelError as e:
                     error(e.location or span, e.kind, str(e))
                     continue
-                record = CheckedProof(name, ctx2, judgment, proof2, file_fuel)
                 env.proofs[name] = record
                 checked.append(record)
-                diags.append(_echo(span, name, judgment))
+                diags.append(_echo(span, name, record.judgment))
                 if trace:
-                    tree = to_relpf(ctx2, proof2, file_fuel)
+                    tree = to_relpf(record.ctx, record.proof, file_fuel)
                     info(span, "\n".join(_relpf_lines(tree)))
             case Pragma("fuel", count, span):
                 file_fuel = count
@@ -450,16 +501,82 @@ class LibraryError(RuntimeError):
     """
 
 
+_LIBRARY_FAILED = "the packaged library failed to check: "
+
+
+class _Witness:
+    """A library proof kept as its source text until it is first read, then
+    parsed, elaborated against the library's definitions and checked once."""
+
+    __slots__ = ("source", "start", "end", "env", "fuel", "checked")
+
+    def __init__(self, source: str, start: int, end: int, env: Env, fuel: int) -> None:
+        self.source, self.start, self.end = source, start, end
+        self.env, self.fuel, self.checked = env, fuel, None
+
+    def read(self) -> CheckedProof:
+        if self.checked is None:
+            # Padded in front, so that its spans are offsets into the library
+            # file, as in a load of the whole file.
+            text = " " * self.start + self.source[self.start : self.end]
+            (stmt,) = parse(text, allow_dotted=True).statements
+            try:
+                self.checked = _check_proof(stmt, self.env, self.fuel)
+            except KernelError as e:
+                raise LibraryError(_LIBRARY_FAILED + str(e)) from None
+        return self.checked
+
+
+# `proof`, `def` and `type` are keywords, and every statement begins with one
+# of them or with `#`, so in text without comments these words mark statements.
+_FIRST_PROOF_LINE = re.compile(r"^proof\b(?!')", re.M)
+_PROOF_WORD = re.compile(r"\bproof\b(?!')(?:\s+([^\W\d]\w*'*))?")
+_NOT_A_PROOF = re.compile(r"--|\b(?:def|type)\b")
+
+
+def _split_library(source: str) -> tuple[int, list[tuple[str, int, int]]]:
+    """Where the library's eager part ends, and each witness after it as
+    (name, start, end).
+
+    The witnesses are the statements from the first line that begins with
+    `proof` to the end. The split is a scan of the text, not a parse, so it is
+    made only where the scan is sure: no `proof` comes before that line, and
+    the source holds no `#` (so every witness is checked at the load's fuel),
+    and after that line no comment, `def` or `type`, and `proof` statements
+    with distinct names. Otherwise the whole source is the eager part.
+    """
+    first = _FIRST_PROOF_LINE.search(source)
+    if (
+        first is None
+        or _PROOF_WORD.search(source, 0, first.start())
+        or _NOT_A_PROOF.search(source, first.start())
+        or "#" in source
+    ):
+        return len(source), []
+    marks = list(_PROOF_WORD.finditer(source, first.start()))
+    names = [m[1] for m in marks]
+    if None in names or len(set(names)) < len(names):
+        return len(source), []
+    ends = [m.start() for m in marks[1:]] + [len(source)]
+    return first.start(), [(m[1], m.start(), end) for m, end in zip(marks, ends)]
+
+
 @lru_cache(maxsize=None)
 def _prelude_env(fuel: int) -> Env:
-    script = parse(prelude_source(), allow_dotted=True)
-    result = run_script(script, fuel)
+    source = prelude_source()
+    eager, witnesses = _split_library(source)
+    result = run_script(parse(source[:eager], allow_dotted=True), fuel)
     if not result.ok:
         problems = [d.message for d in result.diagnostics if d.severity == "error"]
-        raise LibraryError("the packaged library failed to check: " + "; ".join(problems))
-    return result.env
+        raise LibraryError(_LIBRARY_FAILED + "; ".join(problems))
+    env = result.env
+    env.proofs = Proofs(env.proofs)
+    for name, start, end in witnesses:
+        env.proofs[name] = _Witness(source, start, end, env, fuel)
+    return env
 
 
 def prelude_env(fuel: int = DEFAULT_FUEL) -> Env:
-    """The environment produced by checking the packaged library file."""
+    """The environment of the packaged library file: its types and
+    definitions, and its proofs, each checked the first time it is read."""
     return _prelude_env(fuel).copy()

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from reltt import cli, script
 from reltt.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from reltt.kernel import check_declared as kernel_check_declared
+from reltt.reduction import DEFAULT_FUEL
 from reltt.script import (
     dump,
     export_prelude,
@@ -209,8 +210,16 @@ def uncached_library():
 
 @pytest.fixture
 def failing_library(uncached_library, monkeypatch):
-    """A packaged library that does not check."""
-    monkeypatch.setattr(script, "prelude_source", lambda: "proof bad : [] |- a [R] b := u\n")
+    """A packaged library whose definitions load and whose one proof does not check."""
+    monkeypatch.setattr(
+        script, "prelude_source", lambda: "def a := x\nproof bad : [] |- a [R] b := u\n"
+    )
+
+
+@pytest.fixture
+def library_failing_outside_a_proof(uncached_library, monkeypatch):
+    """A packaged library that fails in its definitions, which load eagerly."""
+    monkeypatch.setattr(script, "prelude_source", lambda: "def a := x\ndef a := y\n")
 
 
 @pytest.mark.parametrize(
@@ -222,37 +231,162 @@ def failing_library(uncached_library, monkeypatch):
     ],
     ids=["check", "analyze", "normalize"],
 )
-def test_cli_library_that_fails_to_load_is_a_config_error(argv, failing_library, capsys):
+def test_cli_library_that_fails_to_load_is_a_config_error(
+    argv, library_failing_outside_a_proof, capsys
+):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().out == (
-        "reltt: error[config]: the packaged library failed to check: "
-        "unbound-proof-variable: 'u' is not assumed\n"
+        "reltt: error[config]: the packaged library failed to check: 'a' is already defined\n"
     )
 
 
-def test_a_library_that_fails_to_check_raises_its_own_error(failing_library):
+def test_a_library_that_fails_to_check_raises_its_own_error(failing_library, monkeypatch):
+    # The failing proof is checked when it is read, not when the library loads.
+    env = prelude_env()
+    assert "bad" in env.proofs
+    with pytest.raises(script.LibraryError, match="^the packaged library failed to check: "):
+        env.proofs["bad"]
+    script._prelude_env.cache_clear()
+    monkeypatch.setattr(script, "prelude_source", lambda: "def a := x\ndef a := y\n")
     with pytest.raises(script.LibraryError, match="^the packaged library failed to check: "):
         prelude_env()
 
 
-def test_cli_recursion_error_while_loading_the_library_is_internal(uncached_library, capsys):
+def test_cli_library_proof_that_fails_when_read_is_a_config_error(
+    tmp_path, failing_library, capsys
+):
+    f = tmp_path / "reads.rtt"
+    f.write_text("#check bad\n")
+    assert main(["check", str(f)]) == EXIT_USAGE
+    assert capsys.readouterr().out == (
+        "reltt: error[config]: the packaged library failed to check: "
+        "unbound-proof-variable: 'u' is not assumed\n"
+    )
+    # A command that reads no library proof runs as usual.
+    for argv in (
+        ["check", str(ROOT / "corpus" / "basics.rtt")],
+        ["analyze", str(ROOT / "corpus" / "datatypes.rtt")],
+        ["normalize", "add zero zero"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+        assert "error[" not in capsys.readouterr().out
+
+
+def test_cli_recursion_error_while_loading_the_library_is_internal(
+    uncached_library, monkeypatch, capsys, default_recursion_limit
+):
     # A `RecursionError` is a `RuntimeError` too, but only a library that
-    # fails to check is a configuration error. The command runs in a new
-    # thread, whose stack starts almost empty, so that a limit of 120 is
-    # exceeded inside the library load and not before it.
-    codes = []
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(120)
-    try:
-        worker = threading.Thread(target=lambda: codes.append(main(["normalize", "x"])))
-        worker.start()
-        worker.join(timeout=120)
-    finally:
-        sys.setrecursionlimit(saved)
-    assert not worker.is_alive() and codes == [EXIT_INTERNAL]
+    # fails to check is a configuration error. The library's definitions load
+    # eagerly, and at the stock limit the parser cannot read this one.
+    deep = "(" * 3000 + "x" + ")" * 3000
+    monkeypatch.setattr(script, "prelude_source", lambda: f"def d := {deep}\n")
+    assert main(["normalize", "x"]) == EXIT_INTERNAL
     out = capsys.readouterr().out
     assert out.startswith("reltt: error[internal]: RecursionError: ")
     assert out.count("\n") == 1
+
+
+def _eager_env(source: str, fuel: int = DEFAULT_FUEL):
+    """The library environment as a load that checks every proof at once gives it."""
+    result = run_script(parse(source, allow_dotted=True), fuel)
+    if not result.ok:
+        problems = [d.message for d in result.diagnostics if d.severity == "error"]
+        raise script.LibraryError("the packaged library failed to check: " + "; ".join(problems))
+    return result.env
+
+
+def test_library_proofs_are_checked_only_when_read(uncached_library, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_check_declared(*args)
+
+    monkeypatch.setattr(script, "check_declared", counting)
+    eager = _eager_env(prelude_source())
+    calls.clear()
+    env = prelude_env()
+    assert len(env.proofs) == 17 and list(env.proofs) == list(eager.proofs)
+    assert "add_wit" in env.proofs and calls == []
+    assert env.terms == eager.terms and env.types == eager.types
+    copy = env.copy()
+    assert calls == []
+    assert copy.proofs["add_wit"] == eager.proofs["add_wit"]
+    assert len(calls) == 1
+    # Checked once for the process: another copy, and another load at the
+    # same fuel, read the kept result.
+    assert prelude_env().proofs["add_wit"] is copy.proofs["add_wit"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fuel", [0, DEFAULT_FUEL])
+def test_library_proofs_read_lazily_equal_an_eager_load(fuel, uncached_library):
+    eager = _eager_env(prelude_source(), fuel).proofs
+    lazy = prelude_env(fuel).proofs
+    assert list(lazy.items()) == list(eager.items())
+    for name, proof in eager.items():
+        assert repr(lazy[name]) == repr(proof)
+        assert lazy[name].fuel == fuel
+
+
+def test_cli_reads_library_proofs_as_an_eager_load_does(
+    tmp_path, uncached_library, monkeypatch, capsys
+):
+    names = list(_eager_env(prelude_source()).proofs)
+    f = tmp_path / "reads.rtt"
+    f.write_text(
+        "".join(f"#check {name}\n" for name in names)
+        + "proof add_wit : [u : a [R] b] |- a [R] b := u\n"
+    )
+    assert main(["check", str(f)]) == EXIT_CHECK
+    lazy = capsys.readouterr().out
+    monkeypatch.setattr(cli, "prelude_env", lambda fuel: _eager_env(prelude_source(), fuel))
+    assert main(["check", str(f)]) == EXIT_CHECK
+    assert capsys.readouterr().out == lazy
+    lines = lazy.splitlines()
+    assert [line.split(": ")[1] for line in lines[:17]] == [f"proof {n}" for n in names]
+    assert lines[17] == f"{f}:18:1: error[redefinition]: 'add_wit' is already defined"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def a := x\nproof p : [u : a [R] b] |- a [R] b := u\ndef b := y\n",
+        "proof p : [u : a [R] b] |- a [R] b := u\ntype T := all X. X\n",
+        "def a := \\x. x\nproof p : [] |- a [all X. X -> X] a := Fun X => fun (u : x [X] y) => u\n"
+        "#fuel 0\nproof q : [u : (\\x. x) y [R] z] |- y [R] z := y <| u |> z\n",
+        "def a := x\nproof p : [u : a [R] b] |- a [R] b := u\n-- def b := y\n",
+        "def a := x\nproof p : [u : a [R] b] |- a [R] b := u\nproof p : [] |- a [R] b := u\n",
+        "def a := x proof p : [u : a [R] b] |- a [R] b := u\nproof p : [u : a [R] b] |- a [R] b := u\n",
+        "def a := x\nproof p : [u : a [R] b] |- a [R] b := u\nproof q : [] |- a [R] b := u\n",
+        "-- a library\ndef a := x\n\nproof p : [u : a [R] b]\n  |- a [R] b := u\n"
+        "proof q : [u : a [R^] b] |- b [R] a\n  := conv_e u\n",
+    ],
+    ids=[
+        "def-after",
+        "type-after",
+        "fuel-after",
+        "comment-after",
+        "duplicate",
+        "duplicate-of-mid-line",
+        "one-fails",
+        "multi-line",
+    ],
+)
+def test_a_hand_made_library_loads_as_an_eager_load_does(source, uncached_library, monkeypatch):
+    monkeypatch.setattr(script, "prelude_source", lambda: source)
+    try:
+        eager = _eager_env(source)
+    except script.LibraryError as e:
+        with pytest.raises(script.LibraryError) as lazy_error:
+            env = prelude_env()
+            dict(env.proofs.items())
+        assert str(lazy_error.value) == str(e)
+        return
+    env = prelude_env()
+    assert (env.terms, env.types) == (eager.terms, eager.types)
+    assert dict(env.proofs.items()) == eager.proofs
+    assert list(env.proofs) == list(eager.proofs)
 
 
 def test_cli_dump_flags_write_files(tmp_path, capsys):
@@ -275,6 +409,18 @@ def test_cli_dump_flags_write_files(tmp_path, capsys):
     capsys.readouterr()
     assert json.loads(judgments.read_text())["name"] == "p"
     assert json.loads(erasures.read_text())["erasure"] == "u"
+
+
+@pytest.mark.parametrize("flag", ["--dump-judgments", "--dump-erasure", "--dump-systemf"])
+def test_cli_dump_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, flag):
+    f = tmp_path / "ok.rtt"
+    f.write_text(IDENTITY_PROOF.format(name="p") + "\n")
+    target = tmp_path / "no" / "such" / "dir" / "x.jsonl"
+    assert main(["check", str(f), "--no-prelude", flag, str(target)]) == EXIT_USAGE
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{f}:1:1: proof p: a [R] b"
+    assert out[1].startswith(f"reltt: error[config]: cannot write {target}: [Errno 2] ")
+    assert len(out) == 2
 
 
 def test_cli_normalize(capsys):
