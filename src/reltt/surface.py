@@ -19,13 +19,17 @@ Identifiers may carry trailing primes (`x'`). Names ending in the reserved
 dotted suffix are rejected in user source; the loader for generated library
 files parses with `allow_dotted=True`.
 
-The lexer is one regular-expression pass that yields `Token` tuples; a
-NUMBER is a run of decimal digits, exactly what `int` accepts. The parser
-reads each token about once, through an index into the EOF-terminated token
-list. It resolves term binders while it parses: a scope maps each name to
-its binder, so an identifier in scope becomes its `Bound` index at once and
-every `Lam` is built once, never closed afterwards. Every term entered from
-a type, proof or statement starts with an empty scope. Type binders
+The lexer is one `findall` pass of a regular expression with no groups,
+so it makes no `Match` object: the matches cover the source end to end, a
+token's offsets are running sums of the match lengths, and its kind comes
+from a table of the fixed spellings and keywords or from the match's first
+character. A NUMBER is a run of decimal digits, exactly what `int` accepts.
+The same loop builds the parser's `keys`. The parser reads each token about
+once, through an index into the EOF-terminated token list. It resolves term
+binders while it parses: a scope maps each name to its binder, so an
+identifier in scope becomes its `Bound` index at once and every `Lam` is
+built once, never closed afterwards. Every term entered from a type, proof
+or statement starts with an empty scope. Type binders
 (`all X.`, `rec X.`, and the binders that sugar expansion adds) are closed
 with `syntax.all_` and the form functions.
 
@@ -243,6 +247,16 @@ _FIXED = {
     **{text: (kind, text) for text, kind in _ONE_CHAR.items()},
 }
 
+# The token a whole match makes when it is a fixed spelling or a keyword, as
+# (kind, value, key); the key is what the parser reads (see `keys` below).
+_WHOLE = {
+    **{
+        text: (kind, value, value if kind == "KW" else kind)
+        for text, (kind, value) in _FIXED.items()
+    },
+    **{word: ("KW", word, word) for word in KEYWORDS},
+}
+
 # The character classes match the `str` predicates the grammar is stated in:
 # `\s` is `isspace`, `\d` is `isdecimal` (exactly what `int` accepts) and `\w`
 # is `isalnum` or `_`. `_IDENT_START` is `\w` without the decimal digits, so it
@@ -251,13 +265,16 @@ _FIXED = {
 # `isalpha` or `_`.
 _SPACE, _DIGIT, _IDENT_START, _IDENT_CHAR = r"\s", r"\d", r"[^\W\d]", r"\w"
 
-# One alternative per token class, tried in this order.
+# One alternative per token class, tried in this order. There are no groups,
+# so `findall` returns the text of each match. Every alternative takes at
+# least one character and the last takes any one, so the matches cover the
+# source end to end, which `tokenize` relies on to take offsets from lengths.
 _TOKEN_RE = re.compile(
-    f"(?P<SKIP>{_SPACE}+|--[^\\n]*)"
-    f"|(?P<FIXED>{'|'.join(map(re.escape, sorted(_FIXED, key=len, reverse=True)))})"
-    f"|(?P<NUMBER>{_DIGIT}+)"
-    f"|(?P<IDENT>{_IDENT_START}{_IDENT_CHAR}*'*)"
-    "|(?P<BAD>.)",
+    f"{_SPACE}+|--[^\\n]*"
+    f"|{'|'.join(map(re.escape, sorted(_FIXED, key=len, reverse=True)))}"
+    f"|{_DIGIT}+"
+    f"|{_IDENT_START}{_IDENT_CHAR}*'*"
+    "|.",
     re.DOTALL,
 )
 
@@ -265,32 +282,61 @@ _TOKEN_RE = re.compile(
 _new_token = tuple.__new__
 
 
-def tokenize(source: str, allow_dotted: bool = False) -> list[Token]:
+def tokenize(
+    source: str, allow_dotted: bool = False, keys: list[str] | None = None
+) -> list[Token]:
+    """The tokens of `source`, ending in one EOF token at `len(source)`.
+
+    One `findall` pass over `_TOKEN_RE` gives the text of every match in
+    order, and the matches cover the source without gaps, so each token's
+    `start` is the sum of the lengths of the matches before it and its `end`
+    is `start` plus its own length; no `Match` object is made. A match that
+    is a fixed spelling or a keyword takes its kind and value from `_WHOLE`.
+    Any other match is classified by its first character: a space or a
+    comment is skipped, a letter or `_` starts an IDENT, a decimal digit a
+    NUMBER, and any other character is an error.
+
+    The matches are checked in source order, so the error raised is the
+    first one in the source: `unexpected character` at the one offending
+    character, or, unless `allow_dotted`, a name ending in the reserved
+    dotted suffix (primes aside) over the whole name.
+
+    If `keys` is given, the parser's key of each token, EOF included, is
+    appended to it in the same loop: the word itself for a keyword, and the
+    kind otherwise.
+    """
     tokens: list[Token] = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        start, end = m.span()
-        value = m.group()
-        if kind == "FIXED":
-            kind, value = _FIXED[value]
-        elif kind == "IDENT":
-            c = value[0]
-            if not (c.isalpha() or c == "_"):
+    if keys is None:
+        keys = []
+    add_key = keys.append
+    start = 0
+    for text in _TOKEN_RE.findall(source):
+        end = start + len(text)
+        whole = _WHOLE.get(text)
+        if whole is not None:
+            kind, value, key = whole
+            append(_new_token(Token, (kind, value, start, end)))
+            add_key(key)
+        else:
+            c = text[0]
+            if c.isspace() or c == "-":  # `-` and `->` are fixed: a comment
+                pass
+            elif c.isalpha() or c == "_":
+                if not allow_dotted and text.rstrip("'").endswith(DOT_SUFFIX):
+                    raise ParseError(
+                        f"the name '{text}' uses the reserved dotted suffix", (start, end)
+                    )
+                append(_new_token(Token, ("IDENT", text, start, end)))
+                add_key("IDENT")
+            elif c.isdecimal():
+                append(_new_token(Token, ("NUMBER", text, start, end)))
+                add_key("NUMBER")
+            else:
                 raise ParseError(f"unexpected character {c!r}", (start, start + 1))
-            if not allow_dotted and value.rstrip("'").endswith(DOT_SUFFIX):
-                raise ParseError(
-                    f"the name '{value}' uses the reserved dotted suffix", (start, end)
-                )
-            if value in KEYWORDS:
-                kind = "KW"
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {value!r}", (start, end))
-        append(_new_token(Token, (kind, value, start, end)))
-    n = len(source)
-    append(Token("EOF", "", n, n))
+        start = end
+    append(Token("EOF", "", start, start))
+    add_key("EOF")
     return tokens
 
 
@@ -298,13 +344,13 @@ def tokenize(source: str, allow_dotted: bool = False) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-# The parser reads `keys`, one per token: the token's kind, or the word itself
-# for a keyword, so one membership test covers both. A term is made only of
-# the tokens in `_TERM_KEYS`; `stops[i]` is the key of the first token at or
-# after `i` that is not one of them. `t .. R` and `t <| p |> t'` begin with a
-# term, and a term parsed from `i` can be followed by `..` or `<|` only if
-# `stops[i]` is that token. Elsewhere the attempt would be thrown away and
-# the tokens re-read, so the parser does not make it.
+# The parser reads `keys`, one per token, built by `tokenize`: the token's
+# kind, or the word itself for a keyword, so one membership test covers both.
+# A term is made only of the tokens in `_TERM_KEYS`; `stops[i]` is the key of
+# the first token at or after `i` that is not one of them. `t .. R` and
+# `t <| p |> t'` begin with a term, and a term parsed from `i` can be followed
+# by `..` or `<|` only if `stops[i]` is that token. Elsewhere the attempt
+# would be thrown away and the tokens re-read, so the parser does not make it.
 _TERM_KEYS = frozenset({"IDENT", "LPAREN", "RPAREN", "LAMBDA", "DOT"})
 _TERM_ARG = frozenset({"IDENT", "LPAREN"})
 _POSTFIX = frozenset({"HAT", "LBRACK"})
@@ -318,8 +364,8 @@ _BINDERS = frozenset({"all", "rec"})
 
 class _Parser:
     def __init__(self, source: str, allow_dotted: bool = False):
-        self.tokens = tokens = tokenize(source, allow_dotted)
-        self.keys = keys = [t.value if t.kind == "KW" else t.kind for t in tokens]
+        self.keys = keys = []
+        self.tokens = tokenize(source, allow_dotted, keys)
         self.stops = stops = keys[:]
         stop = "EOF"
         for i in range(len(keys) - 1, -1, -1):

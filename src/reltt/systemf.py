@@ -179,11 +179,13 @@ class FError(Exception):
         self.message = message
 
 
-# Every accepted projection and validation of the process, keyed by the id of
-# the proof or derivation it was made from. An entry holds that object, so no
-# id is reused while the entry lives. Once a table holds BRIDGE_TABLE_SIZE
-# entries, the oldest goes first. Both dicts are only ever mutated in place.
+# Every projected context and every accepted projection and validation of the
+# process, keyed by the id of the context, proof or derivation it was made
+# from. An entry holds that object, so no id is reused while the entry lives.
+# Once a table holds BRIDGE_TABLE_SIZE entries, the oldest goes first. The
+# dicts are only ever mutated in place.
 BRIDGE_TABLE_SIZE = 256
+_contexts: dict[int, tuple] = {}
 _projections: dict[int, tuple] = {}
 _validations: dict[int, tuple] = {}
 
@@ -417,7 +419,19 @@ def project_type(r: RelType) -> RelType:
 
 
 def project_ctx(ctx: Context) -> FContext:
-    return tuple((e.pvar, project_type(e.rel)) for e in ctx)
+    """Each entry's name and projected type.
+
+    A context is projected once: a later call with the same context object
+    returns the same tuple from `_contexts`. `project_type` builds new types
+    for a composition or a promotion, so without the table every caller
+    would get other type objects and miss `validate_f`'s identity test.
+    """
+    entry = _contexts.get(id(ctx))
+    if entry is not None and entry[0] is ctx:
+        return entry[1]
+    delta = tuple((e.pvar, project_type(e.rel)) for e in ctx)
+    _record(_contexts, ctx, (ctx, delta))
+    return delta
 
 
 def rel_of_ftype(t: RelType) -> RelType:

@@ -1,10 +1,10 @@
 """The System F bridge projects and validates each accepted proof once.
 
-`systemf.project_derivation` and `systemf.validate_f` keep what they built
-for a proof or derivation object in two tables keyed by identity. These
-tests pin when an entry is reused (the same objects only), that failures are
-never recorded, that the tables stay bounded, and that a table hit gives the
-same output as a cold call.
+`systemf.project_ctx`, `systemf.project_derivation` and `systemf.validate_f`
+keep what they built for a context, proof or derivation object in three
+tables keyed by identity. These tests pin when an entry is reused (the same
+objects only), that failures are never recorded, that the tables stay
+bounded, and that a table hit gives the same output as a cold call.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _clear_tables() -> None:
+    systemf._contexts.clear()
     systemf._projections.clear()
     systemf._validations.clear()
 
@@ -149,16 +150,20 @@ def test_a_rejected_derivation_raises_on_every_call_and_leaves_no_entry():
 
 def test_the_tables_stay_within_their_bound():
     proofs = [PIota(Var(f"a{i}"), Var("f")) for i in range(BRIDGE_TABLE_SIZE + 10)]
+    ctxs = [(ContextEntry("u", Var(f"a{i}"), TVar("R"), Var("b")),) for i in range(len(proofs))]
     derivs = []
-    for p in proofs:
-        derivs.append(project_derivation((), p))
-        validate_f((), derivs[-1])
+    for p, ctx in zip(proofs, ctxs):
+        derivs.append(project_derivation(ctx, p))
+        validate_f(project_ctx(ctx), derivs[-1])
+        assert len(systemf._contexts) <= BRIDGE_TABLE_SIZE
         assert len(systemf._projections) <= BRIDGE_TABLE_SIZE
         assert len(systemf._validations) <= BRIDGE_TABLE_SIZE
     # The oldest entries went first; the newest are kept.
+    assert id(ctxs[0]) not in systemf._contexts
     assert id(proofs[0]) not in systemf._projections
     assert id(derivs[0]) not in systemf._validations
-    assert project_derivation((), proofs[-1]) is derivs[-1]
+    assert project_ctx(ctxs[-1]) is systemf._contexts[id(ctxs[-1])][1]
+    assert project_derivation(ctxs[-1], proofs[-1]) is derivs[-1]
     assert systemf._validations[id(derivs[-1])][0] is derivs[-1]
 
 
@@ -170,6 +175,31 @@ def _checked_proofs():
         assert result.ok, path
         checked.extend(result.checked)
     return checked
+
+
+def test_a_proof_is_validated_once_whatever_its_context_holds(monkeypatch):
+    # `pi_repack` and `pi_flip` have a composition or a promotion in their
+    # context, which `project_type` builds anew; the projected context is
+    # kept, so the self-witness's embedding and the second validation find
+    # the first validation.
+    checked = _checked_proofs()[17:]
+    assert len(checked) == 29
+    assert {"pi_repack", "pi_flip"} <= {c.name for c in checked}
+    _clear_tables()
+    calls = Counter()
+    validate = systemf._validate
+
+    def counting(delta, d):
+        calls[id(d)] += 1
+        return validate(delta, d)
+
+    monkeypatch.setattr(systemf, "_validate", counting)
+    for c in checked:
+        deriv = project_derivation(c.ctx, c.proof, c.judgment, c.fuel)
+        validated = validate_f(project_ctx(c.ctx), deriv)
+        self_witness(c.ctx, c.proof, c.fuel)
+        assert validate_f(project_ctx(c.ctx), deriv) is validated, c.name
+    assert sum(calls.values()) == 29
 
 
 def _bridge(c, cold: bool) -> list[str]:

@@ -452,6 +452,9 @@ def test_scanner_classes_agree_with_the_str_predicates_on_every_code_point():
     def matching(pattern):
         return "".join(re.findall(pattern, every))
 
+    # `tokenize` classifies a match by its first character, so a space must
+    # be a `_SPACE` match and nothing else
+    assert matching(surface._SPACE) == "".join(filter(str.isspace, every))
     assert matching(surface._DIGIT) == "".join(filter(str.isdecimal, every))
     word = matching(surface._IDENT_CHAR)
     assert word.replace("_", "") == "".join(filter(str.isalnum, every)) and "_" in word
@@ -473,6 +476,88 @@ def test_the_packaged_library_is_11052_tokens_ending_in_eof():
     assert len(tokens) == 11052
     assert tokens[-1].kind == "EOF"
     assert all(t.kind != "EOF" for t in tokens[:-1])
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the reference scanner
+# ---------------------------------------------------------------------------
+
+
+def _scan(text: str, allow_dotted: bool):
+    """`tokenize`'s tokens as tuples, or its error; its keys are checked."""
+    keys: list[str] = []
+    try:
+        tokens = tokenize(text, allow_dotted, keys)
+    except ParseError as e:
+        return ("ParseError", e.message, e.span)
+    assert keys == [t.value if t.kind == "KW" else t.kind for t in tokens]
+    return [tuple(t) for t in tokens]
+
+
+def _reference_scan(text: str, allow_dotted: bool):
+    """What `_scan` must give, by `reference_parser.tokenize`.
+
+    The reference reads a run of `str.isdigit` characters as a NUMBER, but a
+    NUMBER is a run of decimal digits (what `int` accepts), and any other
+    digit that starts a token, such as `²`, is an unexpected character. So
+    the first such digit in a reference NUMBER is the expected error; the
+    reference reads the text before its own error the same way.
+    """
+    try:
+        tokens = reference_parser.tokenize(text, allow_dotted)
+        outcome = [(t.kind, t.value, t.start, t.end) for t in tokens]
+    except ParseError as e:
+        tokens = reference_parser.tokenize(text[: e.span[0]], allow_dotted)
+        outcome = ("ParseError", e.message, e.span)
+    for t in tokens:
+        if t.kind == "NUMBER" and not t.value.isdecimal():
+            i = t.start + next(k for k, c in enumerate(t.value) if not c.isdecimal())
+            return ("ParseError", f"unexpected character {text[i]!r}", (i, i + 1))
+    return outcome
+
+
+# Spellings the scanner must take apart exactly as the reference does: the
+# lambda and forall signs, the two-character `⋅⋅`, a digit that is not
+# decimal and one that is, a vertical tab, a Windows line end, a letter
+# outside the BMP, and a name with the reserved dotted suffix.
+_INSERTIONS = ["λ", "∀", "⋅⋅", "²", "١", "\x0b", "\r\n", "\U0001d465", "_dot", " x_dot' "]
+_SCANNED_FILES = [None, *sorted(CORPUS.rglob("*.rtt"))]
+
+
+@pytest.mark.parametrize(
+    "path", _SCANNED_FILES, ids=lambda p: "prelude.rtt" if p is None else p.name
+)
+def test_scanner_matches_the_reference_scanner_after_insertions(path):
+    text = prelude_source() if path is None else path.read_text(encoding="utf-8")
+    rng = random.Random(f"scan:{'prelude' if path is None else path.name}")
+    cases = [text + "--", text[: rng.randrange(len(text))] + "--"]
+    for insert in _INSERTIONS:
+        for _ in range(2):
+            # up to 2 kB either side, so that the library's cases stay short
+            i = rng.randrange(len(text) + 1)
+            cases.append(text[max(0, i - 2000) : i] + insert + text[i : i + 2000])
+    for case in cases:
+        for allow_dotted in (False, True):
+            assert _scan(case, allow_dotted) == _reference_scan(case, allow_dotted), (
+                repr(case[:40]),
+                allow_dotted,
+            )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " " * 100_000,
+        ("x1_" * 16_667)[:50_000],
+        "-- a comment line\n" * 20_000,
+        "(" * 30_000,
+        prelude_source() * 8,
+    ],
+    ids=["spaces", "identifier", "comment-lines", "parentheses", "library-x8"],
+)
+def test_long_inputs_scan_like_the_reference(text):
+    # No timing is asserted: a pattern that backtracks would show as a stall.
+    assert _scan(text, True) == _reference_scan(text, True)
 
 
 # ---------------------------------------------------------------------------
