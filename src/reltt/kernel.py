@@ -19,12 +19,11 @@ the derivation: they are collected from the context once, when the first
 binder needs them (a proof without binders never walks its context), and
 each binder extends them with the names its new entries bring, so no side
 condition re-collects the names of the whole context.
-An arrow introduction closes both subjects over its binders with `_close`,
-not `syntax.lam`: each `check` and `to_relpf` keeps one table of the subterms
-known to hold no name, and the close never enters one. That is sound because
-a subterm enters the table only once the close has seen that none of its
-leaves is a name, and closing a name-free subterm changes nothing; so a
-name-free part of a subject is walked once, not once per enclosing lambda.
+The kernel builds binders only through `syntax.lam` and `syntax.all_`. An
+arrow introduction closes both subjects over its binders with `lam`, passing
+the table of subterms known to hold no name that each `check` and `to_relpf`
+keeps for its derivation, so a name-free part of a subject is walked once,
+not once per enclosing lambda (see `syntax`).
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -37,21 +36,20 @@ from .syntax import (
     All,
     App,
     Arrow,
-    Bound,
     Comp,
     Context,
     ContextEntry,
     Conv,
     Judgment,
-    Lam,
     Promote,
     RelType,
     Term,
     Var,
+    all_,
     alpha_eq,
-    close_type,
     ctx_lookup,
     free_vars,
+    lam,
     open_type,
     subst_term_multi,
 )
@@ -253,75 +251,6 @@ def _scope_names(ctx: Context, names: list) -> list:
     return names
 
 
-# The table of name-free subterms (see the module docstring) is keyed by `id`
-# and holds the node itself, so no id is reused while the table lives. A node
-# enters it only once `_close` has seen all of its leaves: those it reached,
-# and those below children the table already held. The nodes a close builds
-# are recorded too: once `Var(subj)` has become an index, a body often holds
-# no name at all, and the closes of the enclosing lambdas skip it whole.
-
-
-def _close(name: str, body: Term, nameless: dict) -> Lam:
-    """`lam(name, body)`, recording in `nameless` every name-free node it meets."""
-    body = _close_under(body, name, 0, nameless)
-    t = Lam(name, body)
-    if type(body) is Bound or id(body) in nameless:
-        nameless[id(t)] = t
-    return t
-
-
-def _close_under(t: Term, name: str, d: int, nameless: dict) -> Term:
-    """`t` with `Var(name)` replaced by the index of a binder `d` lambdas out.
-
-    The result is name-free exactly when it is a `Bound` or `nameless` holds
-    it: a leaf is never recorded, and a node that `nameless` holds comes back
-    unchanged. The walk goes down function parts and lambda bodies in a loop
-    and rebuilds on the way back up, so only an argument that is neither a
-    leaf nor held by `nameless` costs a call.
-    """
-    path = []
-    while True:
-        ty = type(t)
-        if ty is App and id(t) not in nameless:
-            path.append(t)
-            t = t.fn
-        elif ty is Lam and id(t) not in nameless:
-            path.append(t)
-            t = t.body
-            d += 1
-        else:
-            break
-    if ty is Var:
-        free = t.name == name
-        if free:
-            t = Bound(d)
-    else:
-        free = True  # a `Bound`, or a node the table holds
-    for node in reversed(path):
-        if type(node) is Lam:
-            d -= 1
-            t = node if t is node.body else Lam(node.hint, t)
-        else:
-            a = node.arg
-            ty = type(a)
-            if ty is Var:
-                if a.name == name:
-                    na = Bound(d)
-                else:
-                    na = a
-                    free = False
-            elif ty is Bound or id(a) in nameless:
-                na = a
-            else:
-                na = _close_under(a, name, d, nameless)
-                if free and id(na) not in nameless:
-                    free = False
-            t = node if t is node.fn and na is a else App(t, na)
-        if free:
-            nameless[id(t)] = t
-    return t
-
-
 def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> RelPfNode:
     """Derive `p` under `ctx`.
 
@@ -329,7 +258,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
     starts with an empty list, shared by every node under it, and the first
     binder that needs the names fills it in (`_scope_names`), so a proof
     without binders never walks its context. `nameless` is the root's table
-    of subterms that hold no name (see `_close`), shared by every node.
+    of subterms that hold no name (see `syntax.lam`), shared by every node.
     """
     match p:
         case PVar(name):
@@ -363,8 +292,8 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
                         f"subject binder '{binder}' occurs free in the context or types",
                         p.span,
                     )
-            left = _close(subj_l, bj.left, nameless)
-            right = _close(subj_r, bj.right, nameless)
+            left = lam(subj_l, bj.left, nameless)
+            right = lam(subj_r, bj.right, nameless)
             judgment = Judgment(left, Arrow(rel, bj.rel), right)
             return _node(p, judgment, (bnode,))
 
@@ -400,7 +329,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
                     p.span,
                 )
             bj = bnode.judgment
-            judgment = Judgment(bj.left, All(tvar, close_type(bj.rel, tvar)), bj.right)
+            judgment = Judgment(bj.left, all_(tvar, bj.rel), bj.right)
             return _node(p, judgment, (bnode,))
 
         case PConv(left, body, right):

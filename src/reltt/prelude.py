@@ -26,9 +26,9 @@ obtained by embedding that derivation and re-checking it in the kernel.
 `proof_builders()` returns combinators that assemble checked proofs for the
 recurring composite shapes (promotion introduction, internalized typing,
 subset and implicit-product introduction, conjugation, and the boolean
-discrimination example). Builders whose target appears to require rewriting
-against the promotion-elimination direction are available behind the
-`experimental` flag and fail with an explanation.
+discrimination example). Subset elimination and de-application have no
+builder: each would need to rewrite toward a promotion, while the
+promotion-elimination rule only rewrites an applied promotion into its reduct.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ from .systemf import (
 
 POLARITY_VIOLATION = "polarity-violation"
 UNDERIVABLE = "underivable"
-NOT_DERIVABLE = "not-derivable"
 BUILDER_MISMATCH = "builder-mismatch"
 
 
@@ -656,21 +655,9 @@ def bool_discrimination(r: RelType, fuel: int = DEFAULT_FUEL) -> tuple[Context, 
     return ctx, _checked(ctx, proof, fuel)
 
 
-def _not_derivable(name: str, why: str):
-    def attempt(*_args, **_kwargs):
-        raise PreludeError(
-            NOT_DERIVABLE,
-            f"{name}: {why} The promotion-elimination rule rewrites an applied "
-            "promotion into its reduct, never the reverse, so the required "
-            "reassembly step has no derivation in the current rule set.",
-        )
-
-    return attempt
-
-
-def proof_builders(experimental: bool = False) -> dict:
+def proof_builders() -> dict:
     """Checked proof-producing combinators, keyed by name."""
-    builders = {
+    return {
         "promote_intro": promote_intro,
         "int_typing_l": int_typing_l,
         "subset_intro": subset_intro,
@@ -678,16 +665,3 @@ def proof_builders(experimental: bool = False) -> dict:
         "conj_intro": conj_intro,
         "bool_discrimination": bool_discrimination,
     }
-    if experimental:
-        builders["subset_elim"] = _not_derivable(
-            "subset_elim",
-            "eliminating a subset type requires turning the opaque middle "
-            "subject produced by composition elimination back into an "
-            "application of the related function.",
-        )
-        builders["deapplication_elim"] = _not_derivable(
-            "deapplication_elim",
-            "recovering the argument relation from a promoted application "
-            "requires rewriting toward the promotion, not from it.",
-        )
-    return builders

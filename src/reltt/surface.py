@@ -579,7 +579,7 @@ class _Parser:
                 p = PTyApp(p, r, span=(start, end))
             elif key in _PROOF_ARG:
                 arg = self.proof_atom()
-                p = PApp(p, arg, span=(p.span[0] if p.span else 0, arg.span[1] if arg.span else 0))
+                p = PApp(p, arg, span=(p.span[0], arg.span[1]))
             else:
                 return p
 
@@ -604,19 +604,19 @@ class _Parser:
             self.expect("RPAREN")
             self.expect("DARROW")
             body = self.proof()
-            end = body.span[1] if body.span else self.peek().start
+            end = body.span[1]
             return PLam(pvar, self._subject_name(subj_l, t), rel, subj_r, body, span=(start, end))
         if key == "Fun":
             self.pos = pos + 1
             tvar = self.ident()
             self.expect("DARROW")
             body = self.proof()
-            end = body.span[1] if body.span else self.peek().start
+            end = body.span[1]
             return PTyLam(tvar, body, span=(start, end))
         if key == "conv_i" or key == "conv_e":
             self.pos = pos + 1
             body = self.proof_atom()
-            end = body.span[1] if body.span else self.peek().start
+            end = body.span[1]
             ctor = PConvI if key == "conv_i" else PConvE
             return ctor(body, span=(start, end))
         if key == "iota":
@@ -639,7 +639,7 @@ class _Parser:
             eq = self.proof_app()
             self.expect("MINUS")
             body = self.proof()
-            end = body.span[1] if body.span else self.peek().start
+            end = body.span[1]
             return PRho(guide, tmpl_l, tmpl_r, eq, body, span=(start, end))
         if key == "pi":
             self.pos = pos + 1
@@ -650,7 +650,7 @@ class _Parser:
             pr = self.ident()
             self.expect("DOT")
             body = self.proof()
-            end = body.span[1] if body.span else self.peek().start
+            end = body.span[1]
             return PPi(scrut, mid, pl, pr, body, span=(start, end))
         if key == "LPAREN":
             self.pos = pos + 1

@@ -17,21 +17,23 @@ binders and the System F bridge (`systemf.project_type`, `validate_f`,
 `erase_proof`) resolve a binder through a scope of name to level as they
 walk, so each builds every binder once.
 
-Apart from those, the binder machinery is one structural rebuild per
-syntax family: `rebuild_term` for terms and `rebuild_type` for types. Each
-walks to the leaves, counts the binders it passes, and hands every leaf with
-that depth to a leaf function; a subterm that comes back unchanged is reused
-as the same object. Closing (`close_term`, `close_type`), opening
+Apart from those, a name is closed into a term binder in one place, `lam`,
+and every other binder operation is one structural rebuild per syntax family:
+`rebuild_term` for terms and `rebuild_type` for types. Each walks to the
+leaves, counts the binders it passes, and hands every leaf with that depth
+to a leaf function; a subterm that comes back unchanged is reused as the
+same object. Closing a type (`close_type`, which `all_` calls), opening
 (`open_term`, `open_type`) and simultaneous substitution of free names
 (`subst_term_multi`, `subst_tvars`, `subst_terms_in_type`) are each just a
 leaf function over one of the two. System F types are relational types too
 (see `systemf.is_f_type`), so they share these binder operations rather than
-keeping their own. The kernel closes the subjects of an arrow introduction
-with a walk of its own (`kernel._close`): it returns what `lam` returns, but
-skips every subterm that a table kept for one derivation records as holding
-no name, since closing such a subterm changes nothing under any name. A
-derivation's subjects grow under nested binders, so `lam` would walk the
-same name-free subterms once per enclosing binder.
+keeping their own. `lam` closes its body with a walk of its own
+(`_close_under`) that skips every subterm a table records as holding no
+name, since closing such a subterm changes nothing under any name. The
+kernel passes one table per derivation to the `lam` of every arrow
+introduction: a derivation's subjects grow under nested binders, so a close
+without it would walk the same name-free subterms once per enclosing
+binder. Any other caller gets a fresh table.
 
 Every term caches its loose-index range in `loose`: one more than the largest
 index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
@@ -124,9 +126,80 @@ class App(Term):
         App._set_loose(self, a if a > b else b)
 
 
-def lam(name: str, body: Term) -> Lam:
-    """Bind the free occurrences of `name` in `body`."""
-    return Lam(name, close_term(body, name))
+# The table of name-free subterms (see the module docstring) is keyed by `id`
+# and holds the node itself, so no id is reused while the table lives. A node
+# enters it only once the close has seen all of its leaves: those it reached,
+# and those below children the table already held. The nodes a close builds
+# are recorded too: once `Var(subj)` has become an index, a body often holds
+# no name at all, and the closes of the enclosing lambdas skip it whole.
+
+
+def lam(name: str, body: Term, nameless: dict | None = None) -> Lam:
+    """Bind the free occurrences of `name` in `body`.
+
+    `nameless` is a table of subterms known to hold no name, which the close
+    never enters and to which it adds every name-free node it meets, the new
+    `Lam` included; without one, the close starts a fresh table.
+    """
+    if nameless is None:
+        nameless = {}
+    body = _close_under(body, name, 0, nameless)
+    t = Lam(name, body)
+    if type(body) is Bound or id(body) in nameless:
+        nameless[id(t)] = t
+    return t
+
+
+def _close_under(t: Term, name: str, d: int, nameless: dict) -> Term:
+    """`t` with `Var(name)` replaced by the index of a binder `d` lambdas out.
+
+    The result is name-free exactly when it is a `Bound` or `nameless` holds
+    it: a leaf is never recorded, and a node that `nameless` holds comes back
+    unchanged. The walk goes down function parts and lambda bodies in a loop
+    and rebuilds on the way back up, so only an argument that is neither a
+    leaf nor held by `nameless` costs a call.
+    """
+    path = []
+    while True:
+        ty = type(t)
+        if ty is App and id(t) not in nameless:
+            path.append(t)
+            t = t.fn
+        elif ty is Lam and id(t) not in nameless:
+            path.append(t)
+            t = t.body
+            d += 1
+        else:
+            break
+    if ty is Var:
+        free = t.name == name
+        if free:
+            t = Bound(d)
+    else:
+        free = True  # a `Bound`, or a node the table holds
+    for node in reversed(path):
+        if type(node) is Lam:
+            d -= 1
+            t = node if t is node.body else Lam(node.hint, t)
+        else:
+            a = node.arg
+            ty = type(a)
+            if ty is Var:
+                if a.name == name:
+                    na = Bound(d)
+                else:
+                    na = a
+                    free = False
+            elif ty is Bound or id(a) in nameless:
+                na = a
+            else:
+                na = _close_under(a, name, d, nameless)
+                if free and id(na) not in nameless:
+                    free = False
+            t = node if t is node.fn and na is a else App(t, na)
+        if free:
+            nameless[id(t)] = t
+    return t
 
 
 def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
@@ -163,15 +236,6 @@ def rebuild_term(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> 
             na = leaf(a, depth) if ty is Var or ty is Bound else rebuild_term(a, leaf, depth)
             t = node if t is node.fn and na is a else App(t, na)
     return t
-
-
-def close_term(t: Term, name: str) -> Term:
-    """Replace the free occurrences of `name` by the index of a binder just outside `t`."""
-
-    def leaf(x: Term, d: int) -> Term:
-        return Bound(d) if type(x) is Var and x.name == name else x
-
-    return rebuild_term(t, leaf)
 
 
 def open_term(body: Term, repl: Term) -> Term:

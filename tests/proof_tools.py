@@ -6,12 +6,15 @@ a systematic alpha-variant of a proof by suffixing every binder it introduces.
 Both exist to probe kernel determinism; the package itself never rewrites
 proofs this way.
 
-The small helpers (spines, sizes, single substitutions, free term names,
-composition and the library's numerals) are conveniences for writing tests;
-the checker itself never calls them.
+The small helpers (spines, sizes, single substitutions, closing a term,
+free term names, composition and the library's numerals) are conveniences
+for writing tests; the checker itself never calls them. `checked_proofs`
+checks the corpus anew on each call, so its results are new objects.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from reltt.kernel import (
     PApp,
@@ -29,6 +32,8 @@ from reltt.kernel import (
     Proof,
 )
 from reltt.prelude import _stdlib_terms
+from reltt.script import prelude_env, run_script
+from reltt.surface import parse
 from reltt.syntax import (
     All,
     App,
@@ -50,6 +55,8 @@ from reltt.syntax import (
     subst_tvars,
 )
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
 
 def app(fn: Term, *args: Term) -> Term:
     t = fn
@@ -61,6 +68,11 @@ def app(fn: Term, *args: Term) -> Term:
 def compose_terms(t: Term, tp: Term) -> Term:
     """t . t' = \\x. t (t' x)"""
     return lam("x", App(t, App(tp, Var("x"))))
+
+
+def close_term(t: Term, name: str) -> Term:
+    """Replace the free occurrences of `name` by the index of a binder just outside `t`."""
+    return lam(name, t).body
 
 
 def subst_term(replacement: Term, var: str, target: Term) -> Term:
@@ -246,3 +258,14 @@ def _rename(
                 _rename(body, sfx, inner_p, inner_t, types),
             )
     raise TypeError(f"not a proof: {p!r}")
+
+
+def checked_proofs() -> list:
+    """The library's checked proofs, then the corpus's, which each call checks anew."""
+    env = prelude_env().copy()
+    checked = list(env.proofs.values())
+    for path in sorted(CORPUS.glob("*.rtt")):
+        result = run_script(parse(path.read_text(encoding="utf-8")), env=env)
+        assert result.ok, path
+        checked.extend(result.checked)
+    return checked

@@ -8,6 +8,7 @@ both give equal judgments, equal derivation trees and equal errors.
 
 from __future__ import annotations
 
+from reference_syntax import lam
 from reltt.kernel import (
     ARGUMENT_MISMATCH,
     FRESHNESS_VIOLATION,
@@ -54,7 +55,6 @@ from reltt.syntax import (
     close_type,
     ctx_lookup,
     free_vars,
-    lam,
     open_type,
     subst_term_multi,
 )

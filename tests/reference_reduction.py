@@ -8,8 +8,9 @@ checks the de Bruijn engine against it step for step, hints included.
 from __future__ import annotations
 
 from proof_tools import free_term_vars
+from reference_syntax import close_term
 from reltt.reduction import DEFAULT_FUEL, FUEL_EXHAUSTED, NORMAL, NormalizeResult
-from reltt.syntax import App, Bound, Lam, Term, Var, close_term, fresh, open_term
+from reltt.syntax import App, Bound, Lam, Term, Var, fresh, open_term
 
 
 def step(t: Term) -> Term | None:

@@ -11,6 +11,9 @@
   index it acts on reaches it. `test_syntax` checks the package's primitives
   against these, and `reference_debruijn` steps with these, so neither
   oracle runs the code under test.
+- `lam` over the hand-written `close_term`, for the oracles that build
+  binders (`reference_kernel`, `reference_reduction`), so neither runs the
+  package's closer, the table-skipping walk in `reltt.syntax.lam`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ def close_term(t: Term, name: str, depth: int = 0) -> Term:
     if ty is Bound:
         return t
     raise TypeError(f"not a term: {t!r}")
+
+
+def lam(name: str, body: Term) -> Lam:
+    return Lam(name, close_term(body, name))
 
 
 def open_term(body: Term, repl: Term, depth: int = 0) -> Term:

@@ -10,13 +10,13 @@ bounded, and that a table hit gives the same output as a cold call.
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
+from proof_tools import checked_proofs
 from reltt import script, systemf
 from reltt.kernel import KernelError, PApp, PIota, PLam, PPair, PVar
-from reltt.script import prelude_env, run_script
+from reltt.script import run_script
 from reltt.surface import parse, render_judgment, render_term, render_type
 from reltt.syntax import Arrow, ContextEntry, Judgment, TVar, Var, all_
 from reltt.systemf import (
@@ -28,8 +28,6 @@ from reltt.systemf import (
     self_witness,
     validate_f,
 )
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _clear_tables() -> None:
@@ -167,22 +165,12 @@ def test_the_tables_stay_within_their_bound():
     assert systemf._validations[id(derivs[-1])][0] is derivs[-1]
 
 
-def _checked_proofs():
-    env = prelude_env().copy()
-    checked = list(env.proofs.values())
-    for path in sorted(CORPUS.glob("*.rtt")):
-        result = run_script(parse(path.read_text(encoding="utf-8")), env=env)
-        assert result.ok, path
-        checked.extend(result.checked)
-    return checked
-
-
 def test_a_proof_is_validated_once_whatever_its_context_holds(monkeypatch):
     # `pi_repack` and `pi_flip` have a composition or a promotion in their
     # context, which `project_type` builds anew; the projected context is
     # kept, so the self-witness's embedding and the second validation find
     # the first validation.
-    checked = _checked_proofs()[17:]
+    checked = checked_proofs()[17:]
     assert len(checked) == 29
     assert {"pi_repack", "pi_flip"} <= {c.name for c in checked}
     _clear_tables()
@@ -224,7 +212,7 @@ def _bridge(c, cold: bool) -> list[str]:
 
 
 def test_a_table_hit_prints_what_a_cold_call_prints():
-    checked = _checked_proofs()
+    checked = checked_proofs()
     assert len(checked) == 17 + 29
     cold = [_bridge(c, cold=True) for c in checked]
     _clear_tables()

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_kernel
+import reference_syntax
 from generators import TERM_NAMES, term_strategy
 from proof_tools import map_free_terms, rename_binders
 from reltt import script
@@ -31,7 +32,6 @@ from reltt.kernel import (
     PTyApp,
     PTyLam,
     PVar,
-    _close,
     check,
     check_declared,
     to_relpf,
@@ -400,7 +400,8 @@ def test_kernel_closes_that_share_a_table_match_lam(first, steps):
             body, body_ref = App(mine, other), App(ref, other)
         else:
             body, body_ref = App(other, mine), App(other, ref)
-        mine, ref = _close(name, body, nameless), lam(name, body_ref)
+        mine = lam(name, body, nameless)
+        ref = Lam(name, reference_syntax.close_term(body_ref, name))
         assert mine == ref and repr(mine) == repr(ref)
         assert _reuses_the_same_subterms(Lam(name, body), mine, Lam(name, body_ref), ref)
     for node in nameless.values():

@@ -36,7 +36,6 @@ from reltt.derived import (
 from reltt import derived, prelude
 from reltt.kernel import PConvI, PVar, check
 from reltt.prelude import (
-    NOT_DERIVABLE,
     POLARITY_VIOLATION,
     UNDERIVABLE,
     conj_intro,
@@ -433,13 +432,3 @@ def test_builder_registry_contents():
         "conj_intro",
         "bool_discrimination",
     }
-    extended = set(proof_builders(experimental=True))
-    assert extended - names == {"subset_elim", "deapplication_elim"}
-
-
-@pytest.mark.parametrize("name", ["subset_elim", "deapplication_elim"])
-def test_experimental_builders_explain_their_absence(name):
-    builder = proof_builders(experimental=True)[name]
-    with pytest.raises(PreludeError) as e:
-        builder()
-    assert e.value.kind == NOT_DERIVABLE

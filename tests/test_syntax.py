@@ -16,7 +16,14 @@ from generators import (
     term_strategy,
     type_strategy,
 )
-from proof_tools import free_term_vars, locally_closed_term, subst_term, subst_tvar, term_size
+from proof_tools import (
+    close_term,
+    free_term_vars,
+    locally_closed_term,
+    subst_term,
+    subst_tvar,
+    term_size,
+)
 from reltt.syntax import (
     App,
     Arrow,
@@ -32,7 +39,6 @@ from reltt.syntax import (
     all_,
     alpha_eq,
     bound_occurs,
-    close_term,
     close_type,
     free_type_vars,
     free_vars,
@@ -280,11 +286,11 @@ def _sigma(keys, make, var):
 
 
 def test_rebuild_views_match_the_hand_written_walkers():
-    # Close, open and substitution as views of `rebuild_term`/`rebuild_type`
-    # against the walkers they replaced, on terms and types with dangling
-    # indices, shared subterms and empty or clashing hints. The output must
-    # match hints included, and a result equal to its input must be the
-    # input object itself.
+    # Close (through `lam`), and open and substitution as views of
+    # `rebuild_term`/`rebuild_type`, against the walkers they replaced, on
+    # terms and types with dangling indices, shared subterms and empty or
+    # clashing hints. The output must match hints included, and a result
+    # equal to its input must be the input object itself.
     rng = random.Random(9090)
     counts = {"same": 0, "changed": 0}
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 import reference_systemf as reference
 from generators import random_scoped_type, random_type, random_unchecked_proof, type_strategy
-from proof_tools import app, rename_binders
+from proof_tools import app, checked_proofs, rename_binders
 from reference_systemf import SHADOWING_VIOLATION, weaken_f
 from reltt.kernel import (
     PApp,
@@ -26,8 +25,6 @@ from reltt.kernel import (
     check,
 )
 from reltt.prelude import bool_discrimination, stdlib
-from reltt.script import prelude_env, run_script
-from reltt.surface import parse
 from reltt.syntax import (
     All,
     App,
@@ -68,8 +65,6 @@ from reltt.systemf import (
     self_witness,
     validate_f,
 )
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 R = TVar("R")
 F_IDENT = all_("X", Arrow(TVar("X"), TVar("X")))
@@ -305,18 +300,8 @@ def _outcome(f, *args):
         return type(e).__name__, getattr(e, "kind", None), str(e)
 
 
-def _checked_proofs():
-    env = prelude_env().copy()
-    checked = list(env.proofs.values())
-    for path in sorted(CORPUS.glob("*.rtt")):
-        result = run_script(parse(path.read_text(encoding="utf-8")), env=env)
-        assert result.ok, path
-        checked.extend(result.checked)
-    return checked
-
-
 def test_bridge_matches_the_reference_bridge_on_the_library_and_the_corpus():
-    checked = _checked_proofs()
+    checked = checked_proofs()
     assert len(checked) == 17 + 29
     for c in checked:
         for proof in (c.proof, rename_binders(c.proof, "_rn")):
