@@ -20,10 +20,8 @@ binder needs them (a proof without binders never walks its context), and
 each binder extends them with the names its new entries bring, so no side
 condition re-collects the names of the whole context.
 The kernel builds binders only through `syntax.lam` and `syntax.all_`. An
-arrow introduction closes both subjects over its binders with `lam`, passing
-the table of subterms known to hold no name that each `check` and `to_relpf`
-keeps for its derivation, so a name-free part of a subject is walked once,
-not once per enclosing lambda (see `syntax`).
+arrow introduction closes both subjects over its binders with `lam`, which
+never enters a part of a subject that holds no name (see `syntax`).
 Conversion questions are delegated to the reduction module; an undecided
 conversion is a hard error, never treated as equality.
 """
@@ -251,14 +249,13 @@ def _scope_names(ctx: Context, names: list) -> list:
     return names
 
 
-def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> RelPfNode:
+def _derive(ctx: Context, p: Proof, fuel: int, names: list) -> RelPfNode:
     """Derive `p` under `ctx`.
 
     `names` is `free_vars(ctx)` as a `[terms, types]` list. The root scope
     starts with an empty list, shared by every node under it, and the first
     binder that needs the names fills it in (`_scope_names`), so a proof
-    without binders never walks its context. `nameless` is the root's table
-    of subterms that hold no name (see `syntax.lam`), shared by every node.
+    without binders never walks its context.
     """
     match p:
         case PVar(name):
@@ -282,7 +279,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             terms, types = _scope_names(ctx, names)
             ann_terms, ann_types = free_vars(rel)
             inner = [terms | ann_terms | {subj_l, subj_r}, types | ann_types]
-            bnode = _derive(ctx + (entry,), body, fuel, inner, nameless)
+            bnode = _derive(ctx + (entry,), body, fuel, inner)
             bj = bnode.judgment
             res_terms, _ = free_vars(bj.rel)
             for binder in (subj_l, subj_r):
@@ -292,14 +289,14 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
                         f"subject binder '{binder}' occurs free in the context or types",
                         p.span,
                     )
-            left = lam(subj_l, bj.left, nameless)
-            right = lam(subj_r, bj.right, nameless)
+            left = lam(subj_l, bj.left)
+            right = lam(subj_r, bj.right)
             judgment = Judgment(left, Arrow(rel, bj.rel), right)
             return _node(p, judgment, (bnode,))
 
         case PApp(fn, arg):
-            fnode = _derive(ctx, fn, fuel, names, nameless)
-            anode = _derive(ctx, arg, fuel, names, nameless)
+            fnode = _derive(ctx, fn, fuel, names)
+            anode = _derive(ctx, arg, fuel, names)
             fj, aj = fnode.judgment, anode.judgment
             if not isinstance(fj.rel, Arrow):
                 raise KernelError(NOT_AN_ARROW, "application head does not have an arrow type", p.span)
@@ -313,7 +310,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             return _node(p, judgment, (fnode, anode))
 
         case PTyApp(fn, rel):
-            fnode = _derive(ctx, fn, fuel, names, nameless)
+            fnode = _derive(ctx, fn, fuel, names)
             fj = fnode.judgment
             if not isinstance(fj.rel, All):
                 raise KernelError(NOT_A_UNIVERSAL, "type application head is not universal", p.span)
@@ -321,7 +318,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             return _node(p, judgment, (fnode,))
 
         case PTyLam(tvar, body):
-            bnode = _derive(ctx, body, fuel, names, nameless)
+            bnode = _derive(ctx, body, fuel, names)
             if tvar in _scope_names(ctx, names)[1]:
                 raise KernelError(
                     FRESHNESS_VIOLATION,
@@ -333,19 +330,19 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             return _node(p, judgment, (bnode,))
 
         case PConv(left, body, right):
-            bnode = _derive(ctx, body, fuel, names, nameless)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             _conv_side(left, bj.left, fuel, "left", p.span)
             _conv_side(right, bj.right, fuel, "right", p.span)
             return _node(p, Judgment(left, bj.rel, right), (bnode,))
 
         case PConvI(body):
-            bnode = _derive(ctx, body, fuel, names, nameless)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             return _node(p, Judgment(bj.right, Conv(bj.rel), bj.left), (bnode,))
 
         case PConvE(body):
-            bnode = _derive(ctx, body, fuel, names, nameless)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not isinstance(bj.rel, Conv):
                 raise KernelError(
@@ -358,7 +355,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             return _node(p, judgment, ())
 
         case PRho(guide_var, guide_l, guide_r, eq, body):
-            enode = _derive(ctx, eq, fuel, names, nameless)
+            enode = _derive(ctx, eq, fuel, names)
             ej = enode.judgment
             if not isinstance(ej.rel, Promote):
                 raise KernelError(
@@ -367,7 +364,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             applied = App(ej.rel.term, ej.left)
             expect_l = subst_term_multi({guide_var: applied}, guide_l)
             expect_r = subst_term_multi({guide_var: applied}, guide_r)
-            bnode = _derive(ctx, body, fuel, names, nameless)
+            bnode = _derive(ctx, body, fuel, names)
             bj = bnode.judgment
             if not (alpha_eq(bj.left, expect_l) and alpha_eq(bj.right, expect_r)):
                 raise KernelError(
@@ -380,8 +377,8 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             return _node(p, Judgment(result, bj.rel, result_r), (enode, bnode))
 
         case PPair(left, right, mid):
-            lnode = _derive(ctx, left, fuel, names, nameless)
-            rnode = _derive(ctx, right, fuel, names, nameless)
+            lnode = _derive(ctx, left, fuel, names)
+            rnode = _derive(ctx, right, fuel, names)
             lj, rj = lnode.judgment, rnode.judgment
             if not (alpha_eq(lj.right, rj.left) and alpha_eq(lj.right, mid)):
                 raise KernelError(
@@ -399,7 +396,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
                     "composition eliminator binders must be pairwise distinct",
                     p.span,
                 )
-            snode = _derive(ctx, scrutinee, fuel, names, nameless)
+            snode = _derive(ctx, scrutinee, fuel, names)
             sj = snode.judgment
             if not isinstance(sj.rel, Comp):
                 raise KernelError(
@@ -417,7 +414,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
             terms, types = _scope_names(ctx, names)
             scrut_terms, scrut_types = free_vars(sj)
             inner = [terms | scrut_terms | {mid_var}, types | scrut_types]
-            bnode = _derive(ctx + new, body, fuel, inner, nameless)
+            bnode = _derive(ctx + new, body, fuel, inner)
             bj = bnode.judgment
             if mid_var in terms or mid_var in scrut_terms or mid_var in free_vars(bj)[0]:
                 raise KernelError(
@@ -433,7 +430,7 @@ def _derive(ctx: Context, p: Proof, fuel: int, names: list, nameless: dict) -> R
 def check(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> Judgment:
     """Synthesize the judgment of p under ctx, or raise KernelError."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, [], {}).judgment
+    return _derive(ctx, p, fuel, []).judgment
 
 
 def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAULT_FUEL) -> Judgment:
@@ -456,4 +453,4 @@ def check_declared(ctx: Context, p: Proof, declared: Judgment, fuel: int = DEFAU
 def to_relpf(ctx: Context, p: Proof, fuel: int = DEFAULT_FUEL) -> RelPfNode:
     """The display derivation tree for an accepted proof."""
     _require_wf(ctx)
-    return _derive(ctx, p, fuel, [], {})
+    return _derive(ctx, p, fuel, [])

@@ -28,12 +28,11 @@ same object. Closing a type (`close_type`, which `all_` calls), opening
 leaf function over one of the two. System F types are relational types too
 (see `systemf.is_f_type`), so they share these binder operations rather than
 keeping their own. `lam` closes its body with a walk of its own
-(`_close_under`) that skips every subterm a table records as holding no
-name, since closing such a subterm changes nothing under any name. The
-kernel passes one table per derivation to the `lam` of every arrow
-introduction: a derivation's subjects grow under nested binders, so a close
-without it would walk the same name-free subterms once per enclosing
-binder. Any other caller gets a fresh table.
+(`_close_under`) that never enters a subterm whose `named` is False, since
+closing a subterm that holds no name changes nothing under any name. A
+derivation's subjects grow under nested binders, and once a close has turned
+`Var(subj)` into an index a subterm often holds no name at all, so the closes
+of the enclosing lambdas skip it whole.
 
 Every term caches its loose-index range in `loose`: one more than the largest
 index that dangles out of it, or 0 if none does. So `loose` is 0 for `Var`,
@@ -44,8 +43,10 @@ never enter a subterm that no index they act on reaches, so a reduction step
 costs only the part of the term it can change. A Python call is most of what
 a step costs, so they are module-level recursions, not closures made per
 call, and test a child's `loose` before they call themselves on it (see the
-comment above them). `loose` is not a field of `==`, `hash`, `repr` or
-pattern matching.
+comment above them). Every term also caches in `named` whether a `Var` occurs
+in it: True for `Var`, False for `Bound`, the body's for `Lam`, and either
+child's for `App`. Neither `loose` nor `named` is a field of `==`, `hash`,
+`repr` or pattern matching.
 
 Term variables and type variables live in separate namespaces. Types contain
 terms (inside `Promote`), terms never contain types, and no term binder scopes
@@ -78,9 +79,9 @@ class Term:
             setattr(cls, f"_set_{name}", getattr(cls, name).__set__)
 
 
-# `loose` (see the module docstring) is set once, in the constructor, from the
-# children's cached values, so reading it never recurses. Slots keep each
-# node small, the extra field included.
+# `loose` and `named` (see the module docstring) are set once, in the
+# constructor, from the children's cached values, so reading them never
+# recurses. Slots keep each node small, the extra fields included.
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,12 +89,15 @@ class Var(Term):
     name: str
 
     loose = 0  # a class attribute: no index dangles out of a name
+    named = True  # a class attribute, as `Bound.named` is
 
 
 @dataclass(frozen=True, slots=True)
 class Bound(Term):
     index: int
     loose: int = field(init=False, repr=False, compare=False)
+
+    named = False  # a class attribute: an index is no name
 
     def __init__(self, index: int) -> None:
         Bound._set_index(self, index)
@@ -105,12 +109,14 @@ class Lam(Term):
     hint: str = field(compare=False)
     body: Term
     loose: int = field(init=False, repr=False, compare=False)
+    named: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, hint: str, body: Term) -> None:
         Lam._set_hint(self, hint)
         Lam._set_body(self, body)
         n = body.loose
         Lam._set_loose(self, n - 1 if n else 0)
+        Lam._set_named(self, body.named)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,87 +124,56 @@ class App(Term):
     fn: Term
     arg: Term
     loose: int = field(init=False, repr=False, compare=False)
+    named: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, fn: Term, arg: Term) -> None:
         App._set_fn(self, fn)
         App._set_arg(self, arg)
         a, b = fn.loose, arg.loose
         App._set_loose(self, a if a > b else b)
+        App._set_named(self, fn.named or arg.named)
 
 
-# The table of name-free subterms (see the module docstring) is keyed by `id`
-# and holds the node itself, so no id is reused while the table lives. A node
-# enters it only once the close has seen all of its leaves: those it reached,
-# and those below children the table already held. The nodes a close builds
-# are recorded too: once `Var(subj)` has become an index, a body often holds
-# no name at all, and the closes of the enclosing lambdas skip it whole.
+def lam(name: str, body: Term) -> Lam:
+    """Bind the free occurrences of `name` in `body`."""
+    return Lam(name, _close_under(body, name, 0))
 
 
-def lam(name: str, body: Term, nameless: dict | None = None) -> Lam:
-    """Bind the free occurrences of `name` in `body`.
-
-    `nameless` is a table of subterms known to hold no name, which the close
-    never enters and to which it adds every name-free node it meets, the new
-    `Lam` included; without one, the close starts a fresh table.
-    """
-    if nameless is None:
-        nameless = {}
-    body = _close_under(body, name, 0, nameless)
-    t = Lam(name, body)
-    if type(body) is Bound or id(body) in nameless:
-        nameless[id(t)] = t
-    return t
-
-
-def _close_under(t: Term, name: str, d: int, nameless: dict) -> Term:
+def _close_under(t: Term, name: str, d: int) -> Term:
     """`t` with `Var(name)` replaced by the index of a binder `d` lambdas out.
 
-    The result is name-free exactly when it is a `Bound` or `nameless` holds
-    it: a leaf is never recorded, and a node that `nameless` holds comes back
-    unchanged. The walk goes down function parts and lambda bodies in a loop
-    and rebuilds on the way back up, so only an argument that is neither a
-    leaf nor held by `nameless` costs a call.
+    A subterm that holds no name comes back unchanged without a visit. The
+    walk goes down function parts and lambda bodies in a loop and rebuilds on
+    the way back up, so only an argument that holds a name and is not a leaf
+    costs a call.
     """
     path = []
-    while True:
+    while t.named:
         ty = type(t)
-        if ty is App and id(t) not in nameless:
+        if ty is App:
             path.append(t)
             t = t.fn
-        elif ty is Lam and id(t) not in nameless:
+        elif ty is Lam:
             path.append(t)
             t = t.body
             d += 1
-        else:
+        else:  # a `Var`
+            if t.name == name:
+                t = Bound(d)
             break
-    if ty is Var:
-        free = t.name == name
-        if free:
-            t = Bound(d)
-    else:
-        free = True  # a `Bound`, or a node the table holds
     for node in reversed(path):
         if type(node) is Lam:
             d -= 1
             t = node if t is node.body else Lam(node.hint, t)
         else:
             a = node.arg
-            ty = type(a)
-            if ty is Var:
-                if a.name == name:
-                    na = Bound(d)
-                else:
-                    na = a
-                    free = False
-            elif ty is Bound or id(a) in nameless:
+            if not a.named:
                 na = a
+            elif type(a) is Var:
+                na = Bound(d) if a.name == name else a
             else:
-                na = _close_under(a, name, d, nameless)
-                if free and id(na) not in nameless:
-                    free = False
+                na = _close_under(a, name, d)
             t = node if t is node.fn and na is a else App(t, na)
-        if free:
-            nameless[id(t)] = t
     return t
 
 

@@ -342,9 +342,9 @@ def test_kernel_matches_the_kernel_that_recollects_free_names(monkeypatch):
 
 def test_the_kernel_matches_the_reference_kernel_on_the_library_self_witnesses():
     # `self_witness` embeds each library proof's F derivation and re-derives
-    # it; those embedded proofs nest the most `fun`s of any input, so they
-    # lean on the table of name-free subterms hardest. `repr` compares the
-    # binder hints that `==` leaves out.
+    # it; those embedded proofs nest the most `fun`s of any input, so their
+    # closes skip the most name-free subterms. `repr` compares the binder
+    # hints that `==` leaves out.
     library = prelude_env().proofs.values()
     assert len(library) == 17
     for e in library:
@@ -387,11 +387,10 @@ def _reuses_the_same_subterms(before, after, before_ref, after_ref):
         max_size=6,
     ),
 )
-def test_kernel_closes_that_share_a_table_match_lam(first, steps):
+def test_nested_lam_closes_match_the_reference_close(first, steps):
     # Each step closes a body built from the previous result, as a `fun`
-    # closes a body judgment built under earlier ones; the kernel's closes
-    # all share one table, as the closes of one derivation do.
-    nameless = {}
+    # closes a body judgment built under earlier ones, so later closes meet
+    # the name-free subterms that earlier ones made.
     mine = ref = first
     for name, other, shape in steps:
         if shape == "body":
@@ -400,12 +399,19 @@ def test_kernel_closes_that_share_a_table_match_lam(first, steps):
             body, body_ref = App(mine, other), App(ref, other)
         else:
             body, body_ref = App(other, mine), App(other, ref)
-        mine = lam(name, body, nameless)
+        mine = lam(name, body)
         ref = Lam(name, reference_syntax.close_term(body_ref, name))
         assert mine == ref and repr(mine) == repr(ref)
         assert _reuses_the_same_subterms(Lam(name, body), mine, Lam(name, body_ref), ref)
-    for node in nameless.values():
-        assert not any(type(leaf) is Var for leaf in _leaves(node))
+        stack = [mine]
+        while stack:
+            node = stack.pop()
+            if not node.named:
+                assert not any(type(leaf) is Var for leaf in _leaves(node))
+            if type(node) is App:
+                stack += (node.fn, node.arg)
+            elif type(node) is Lam:
+                stack.append(node.body)
 
 
 def test_a_fun_closes_a_3000_argument_spine_at_the_stock_recursion_limit(default_recursion_limit):

@@ -203,6 +203,18 @@ def _naive_loose(t) -> int:
             return max(_naive_loose(f), _naive_loose(a))
 
 
+def _naive_named(t) -> bool:
+    match t:
+        case Var(_):
+            return True
+        case Bound(_):
+            return False
+        case Lam(_, b):
+            return _naive_named(b)
+        case App(f, a):
+            return _naive_named(f) or _naive_named(a)
+
+
 def _naive_locally_closed(t, depth: int) -> bool:
     match t:
         case Var(_):
@@ -222,6 +234,7 @@ def test_cached_loose_range_matches_a_naive_recomputation():
         t = random_scoped_term(rng, rng.randint(1, 30), rng.randrange(3), pool)
         for u in pool:  # every node built, shared ones included
             assert u.loose == _naive_loose(u), u
+            assert u.named == _naive_named(u), u
         for depth in range(4):
             assert locally_closed_term(t, depth) == _naive_locally_closed(t, depth), (t, depth)
 
@@ -235,6 +248,13 @@ def test_cached_loose_range_is_not_part_of_equality_or_repr():
     assert repr(App(Var("f"), Bound(3))) == "App(fn=Var(name='f'), arg=Bound(index=3))"
     assert (Var.__match_args__, Bound.__match_args__) == (("name",), ("index",))
     assert (Lam.__match_args__, App.__match_args__) == (("hint", "body"), ("fn", "arg"))
+    # The cached `named` is left out as well: the `repr`s and `__match_args__`
+    # above hold no trace of it, and a node forged to hold the wrong bit
+    # still compares, hashes and prints as its honest twin.
+    assert body.named and not Lam("x", Bound(0)).named
+    forged, honest = Lam("x", body), Lam("x", body)
+    Lam._set_named(forged, False)
+    assert forged == honest and hash(forged) == hash(honest) and repr(forged) == repr(honest)
 
 
 
@@ -367,6 +387,18 @@ def test_rebuild_term_walks_spines_and_lambda_chains_in_a_loop(default_recursion
     assert subst_term_multi({"absent": Var("g")}, chain) is chain
 
 
+def test_lam_never_enters_a_subterm_that_holds_no_name(default_recursion_limit):
+    # `C` nests 3,000 arguments, so a close that walked into it would run out
+    # of Python frames; it holds no name, so `lam` reuses it untouched.
+    inner = Bound(0)
+    for _ in range(3000):
+        inner = App(Bound(0), inner)
+    c = Lam("y", inner)
+    closed = lam("x", App(Var("x"), c))
+    assert closed.body.fn == Bound(0) and closed.body.arg is c
+    assert not c.named and not closed.named
+
+
 def _nodes(t) -> list:
     """Every node of `t`, outermost first."""
     out, stack = [], [t]
@@ -384,8 +416,8 @@ def test_index_primitives_match_the_closure_based_ones():
     # `shift_term`, `subst_bound` and `bound_occurs` against the versions
     # frozen in reference_syntax, on terms with dangling indices and shared
     # subterms, and on every beta and eta redex of terms full of redexes.
-    # Node by node, the results must agree in hints and in `loose`, and must
-    # reuse exactly the same input objects.
+    # Node by node, the results must agree in hints, `loose` and `named`, and
+    # must reuse exactly the same input objects.
     rng = random.Random(60221)
     counts = {"same": 0, "changed": 0}
 
@@ -393,7 +425,7 @@ def test_index_primitives_match_the_closure_based_ones():
         assert repr(got) == repr(want), (inputs, got, want)
         known = {id(u) for x in inputs for u in _nodes(x)}
         for g, w in zip(_nodes(got), _nodes(want)):
-            assert g.loose == w.loose, (inputs, g)
+            assert g.loose == w.loose and g.named == w.named, (inputs, g)
             assert (id(g) in known, id(w) in known) in ((False, False), (True, True))
             assert id(w) not in known or g is w, (inputs, w)
         counts["same" if got is inputs[0] else "changed"] += 1
