@@ -13,9 +13,11 @@ term referring to one is reported as an unbound proof variable.
 Each failing statement yields exactly one error diagnostic and processing
 continues with the following statements, so one broken proof does not hide
 diagnostics for independent ones. Exit status is success exactly when no
-error diagnostics were produced. The `proof NAME: ...` echo of a checked
-proof is rendered the first time its message is read, so a caller that
-never reads it, such as the packaged library's loader, never renders it.
+error diagnostics were produced. A checked proof's judgment is rendered
+once, the first time something reads it, and kept on its record: the
+`proof NAME: ...` echo and the judgments dump both read that one rendering,
+and a caller that reads neither, such as the packaged library's loader,
+never renders it.
 
 Dumps are line-delimited JSON with sorted keys, UTF-8, rendered through the
 surface syntax so terms and types round-trip through the parser. The System F
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .analysis import (
@@ -124,12 +126,13 @@ class Diagnostic:
         return message
 
 
-def _echo(span: tuple[int, int], name: str, judgment: Judgment) -> Diagnostic:
-    """The `proof NAME: ...` note for a checked proof, rendered only if it is read."""
+def _echo(span: tuple[int, int], name: str, record: CheckedProof) -> Diagnostic:
+    """The `proof NAME: ...` note for a checked proof, made of the record's
+    one rendering of its judgment and rendered only if it is read."""
     d = object.__new__(Diagnostic)
     for attr, value in (("severity", "info"), ("span", span), ("kind", "note")):
         object.__setattr__(d, attr, value)
-    object.__setattr__(d, "_render", lambda: f"proof {name}: {render_judgment(judgment)}")
+    object.__setattr__(d, "_render", lambda: "proof {}: {} [{}] {}".format(name, *record.rendered))
     return d
 
 
@@ -140,6 +143,14 @@ class CheckedProof:
     judgment: Judgment
     proof: Proof
     fuel: int  # the fuel the proof was checked under; dumps re-check with it
+
+    @cached_property
+    def rendered(self) -> tuple[str, str, str]:
+        """The judgment's left subject, type and right subject as surface
+        text, rendered the first time it is read; the echo and the judgments
+        dump both read this one rendering."""
+        j = self.judgment
+        return render_term(j.left), render_type(j.rel), render_term(j.right)
 
 
 class Proofs(Mapping):
@@ -372,7 +383,7 @@ def run_script(
                     continue
                 env.proofs[name] = record
                 checked.append(record)
-                diags.append(_echo(span, name, record.judgment))
+                diags.append(_echo(span, name, record))
                 if trace:
                     tree = to_relpf(record.ctx, record.proof, file_fuel)
                     info(span, "\n".join(_relpf_lines(tree)))
@@ -402,7 +413,7 @@ def run_script(
                 if name not in env.proofs:
                     error(span, "unknown-name", f"no proof named '{name}'")
                 else:
-                    diags.append(_echo(span, name, env.proofs[name].judgment))
+                    diags.append(_echo(span, name, env.proofs[name]))
             case Command("dump", what, span):
                 payload = dump(checked, what)
                 for line in payload.decode("utf-8").splitlines():
@@ -421,14 +432,8 @@ def _records(entries: list[CheckedProof], what: str) -> list[dict]:
     records = []
     for e in entries:
         if what == "judgments":
-            records.append(
-                {
-                    "name": e.name,
-                    "left": render_term(e.judgment.left),
-                    "type": render_type(e.judgment.rel),
-                    "right": render_term(e.judgment.right),
-                }
-            )
+            left, rel, right = e.rendered
+            records.append({"name": e.name, "left": left, "type": rel, "right": right})
         elif what == "erasures":
             records.append({"name": e.name, "erasure": render_term(erase_proof(e.proof))})
         elif what == "systemf":

@@ -794,6 +794,16 @@ def parse_proof(source: str, allow_dotted: bool = False) -> Proof:
 # the free names of the body opened with the enclosing binders' names, which
 # is what makes the output parse back alpha-equal.
 #
+# Most hints clash with nothing, so a term binder first tries a cheaper test.
+# Each top-level term render collects once the names of every `Var` in the
+# term (`_var_names`, which skips each subterm whose cached `named` is False),
+# and a binder's cached `loose` says how far out its body's indices reach: to
+# the last `loose` names of `env` at most. A hint that is none of those `Var`
+# names and none of those last names of `env` can be neither a free name of
+# the body nor the name of an enclosing binder the body points to, so the
+# binder keeps it without a scope: the name the scope would have given it.
+# Only a hint that fails this test pays for the scope below.
+#
 # A node's scope is two integers: a mask of its free names, one bit per name
 # in `bits` (a table that grows during one render call), and a mask of the
 # indices that dangle out of it, bit `i` for index `i`. An application ORs its
@@ -802,7 +812,8 @@ def parse_proof(source: str, allow_dotted: bool = False) -> Proof:
 # are scanned once; one function serves terms and types, since their binders
 # scope alike. It walks down one child per node in a loop (an application's
 # function, a binder's body, the right side of `->` and `*`, a converse's
-# operand) and recurses only into the other child.
+# operand) and recurses only into the other child. A name gets its bit the
+# first time a scope or a clash test needs it.
 #
 # The renderers dispatch on `type(x) is C`, as reduction does, and print an
 # application spine, a chain of binders and a chain of `->` or `*` in one
@@ -870,32 +881,50 @@ def _new_bit(name: str, bits: dict) -> int:
 
 
 def _binder_name(hint: str, scope: tuple[int, int], env: list[str], bits: dict) -> str:
-    """The name a binder prints under: its hint, unless that clashes with a visible name.
-
-    Every name in `env` already has its bit, since each binder's name gets
-    one here.
-    """
+    """The name a binder prints under: its hint, unless that clashes with a visible name."""
     names, ixs = scope
     depth = len(env)
     ixs &= (1 << depth) - 1  # the enclosing binders that the body refers to
     while ixs:
         low = ixs & -ixs
-        names |= bits[env[depth - low.bit_length()]]
+        seen = env[depth - low.bit_length()]
+        names |= bits.get(seen) or _new_bit(seen, bits)
         ixs ^= low
     name, n = hint, 0
     while bits.get(name, 0) & names:
         n += 1
         name = f"{hint}{n}"
-    if name not in bits:
-        _new_bit(name, bits)
     return name
 
 
+def _var_names(t: Term) -> set[str]:
+    """The names of the `Var`s in a term, never entering a subterm that holds none."""
+    names = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while t.named:
+            ty = type(t)
+            if ty is App:
+                todo.append(t.arg)
+                t = t.fn
+            elif ty is Lam:
+                t = t.body
+            else:
+                names.add(t.name)
+                break
+    return names
+
+
 def render_term(t: Term) -> str:
-    return _rt(t, 0, [], {}, {})
+    return _render_term(t, 0)
 
 
-def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict) -> str:
+def _render_term(t: Term, prec: int) -> str:
+    return _rt(t, prec, [], {}, {}, _var_names(t))
+
+
+def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict, names: set[str]) -> str:
     # prec 0: lambda body; 1: application head; 2: argument
     ty = type(t)
     if ty is App:
@@ -905,7 +934,7 @@ def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict) -> str:
             t = t.fn
             ty = type(t)
         depth = len(env)
-        parts = [_rt(t, 1, env, memo, bits)]
+        parts = [_rt(t, 1, env, memo, bits, names)]
         for a in reversed(args):
             ty = type(a)
             if ty is Bound:
@@ -914,7 +943,7 @@ def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict) -> str:
             elif ty is Var:
                 parts.append(a.name)
             else:
-                parts.append(_rt(a, 2, env, memo, bits))
+                parts.append(_rt(a, 2, env, memo, bits, names))
         s = " ".join(parts)
         return f"({s})" if prec > 1 else s
     if ty is Bound:
@@ -926,13 +955,16 @@ def _rt(t: Term, prec: int, env: list[str], memo: dict, bits: dict) -> str:
         depth = len(env)
         parts = []
         while ty is Lam:
-            scope = memo.get(id(t)) or _scope(t, memo, bits)
-            nm = _binder_name(t.hint or "x", scope, env, bits)
+            nm = t.hint or "x"
+            reach = t.loose  # the body's indices reach the last `reach` names of env
+            if nm in names or (reach and nm in env[-reach:]):  # else the hint cannot clash
+                scope = memo.get(id(t)) or _scope(t, memo, bits)
+                nm = _binder_name(nm, scope, env, bits)
             env.append(nm)
             parts.append(f"\\{nm}.")
             t = t.body
             ty = type(t)
-        parts.append(_rt(t, 0, env, memo, bits))
+        parts.append(_rt(t, 0, env, memo, bits, names))
         del env[depth:]
         s = " ".join(parts)
         return f"({s})" if prec > 0 else s
@@ -1017,7 +1049,7 @@ def _rp(p: Proof, prec: int) -> str:
         s = f"{_rp(p.fn, 1)} {{{render_type(p.rel)}}}"
         return f"({s})" if prec > 1 else s
     if ty is PConv:
-        s = f"{_rt(p.left, 2, [], {}, {})} <| {_rp(p.body, 0)} |> {_rt(p.right, 2, [], {}, {})}"
+        s = f"{_render_term(p.left, 2)} <| {_rp(p.body, 0)} |> {_render_term(p.right, 2)}"
         return f"({s})" if prec > 0 else s
     if ty is PConvI or ty is PConvE:
         s = f"{'conv_i' if ty is PConvI else 'conv_e'} {_rp(p.body, 2)}"

@@ -13,6 +13,7 @@ import random
 import time
 from pathlib import Path
 
+from derived_rules import bool_discrimination
 from generators import random_type
 from proof_tools import app, numeral, rename_binders, subst_tvar, type_size
 from reltt.analysis import MINUS, PLUS, polarity_holds
@@ -20,7 +21,6 @@ from reltt.cli import EXIT_CHECK, main
 from reltt.kernel import Judgment, check, to_relpf
 from reltt.derived import dparam, gen_fmap, sum_, unit
 from reltt.prelude import (
-    bool_discrimination,
     gen_fmap_deriv,
     gen_in_deriv,
     stdlib,

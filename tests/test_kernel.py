@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_kernel
 import reference_syntax
+from derived_rules import bool_discrimination
 from generators import TERM_NAMES, term_strategy
 from proof_tools import map_free_terms, rename_binders
 from reltt import script
@@ -36,7 +37,6 @@ from reltt.kernel import (
     check_declared,
     to_relpf,
 )
-from reltt.prelude import bool_discrimination
 from reltt.script import prelude_env, run_script
 from reltt.surface import parse
 from reltt.systemf import self_witness

@@ -17,7 +17,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reltt"
 ENTRY_POINTS = {
     "surface.parse_type": "the parser's entry point for a type on its own",
     "surface.parse_proof": "the parser's entry point for a proof on its own",
-    "prelude.proof_builders": "the builders of the paper's derived rules",
     "systemf.self_witness": "perfbench's library workload witnesses each proof with it",
     "systemf.rel_of_ftype": "perfbench's library worker calls it",
     "reduction.step": "perfbench's self-tests pin that its tracer wraps it",

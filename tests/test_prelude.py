@@ -6,8 +6,18 @@ import random
 
 import pytest
 
+import derived_rules
 import oracle_lambda as oracle
 import reference_forms as old
+from derived_rules import (
+    bool_discrimination,
+    conj_intro,
+    impprod_intro,
+    int_typing_l,
+    promote_intro,
+    proof_builders,
+    subset_intro,
+)
 from generators import TYPE_NAMES, random_f_type, random_term, random_type
 from proof_tools import compose_terms, numeral, subst_tvar
 from reltt.analysis import MINUS, PLUS
@@ -33,23 +43,16 @@ from reltt.derived import (
     sum_,
     unit,
 )
-from reltt import derived, prelude
+from reltt import derived
 from reltt.kernel import PConvI, PVar, check
 from reltt.prelude import (
     POLARITY_VIOLATION,
     UNDERIVABLE,
-    conj_intro,
-    bool_discrimination,
     gen_fmap_deriv,
     gen_fold_deriv,
     gen_in_deriv,
     gen_rebuild,
-    impprod_intro,
-    int_typing_l,
-    promote_intro,
-    proof_builders,
     stdlib,
-    subset_intro,
 )
 from reltt.reduction import EQUAL, conv_check
 from reltt.surface import parse_type, render_type
@@ -387,7 +390,7 @@ def test_transformer_builders_check_their_proof_once(builder, ctx, cod, assumpti
     def build(transform):
         return builder(ctx, Var("a"), Var("b"), R, cod, transform)
 
-    monkeypatch.setattr(prelude, "check", counting_check)
+    monkeypatch.setattr(derived_rules, "check", counting_check)
     build(lambda name: PVar(assumption or name))
     assert len(calls) == 1
     # A rejected proof and a changed target type keep their kind and message.

@@ -21,7 +21,7 @@ from reltt.script import (
     prelude_source,
     run_script,
 )
-from reltt.surface import parse
+from reltt.surface import parse, render_judgment
 from reltt.syntax import Arrow, Promote, TVar, Var, lam
 
 IDENTITY_PROOF = "proof {name} : [u : a [R] b] |- a [R] b := u"
@@ -580,14 +580,16 @@ def test_cli_fuel_pragma_reads_non_ascii_decimal_digits(tmp_path, capsys):
 
 
 def test_echoes_are_rendered_only_when_read(monkeypatch):
+    # A checked proof renders its judgment in one place, `CheckedProof.rendered`,
+    # once, and the echo and the judgments dump both read that rendering.
     rendered = []
-    render_judgment = script.render_judgment
+    render = script.CheckedProof.rendered.func
 
-    def counting(j):
-        rendered.append(j)
-        return render_judgment(j)
+    def counting(record):
+        rendered.append(record)
+        return render(record)
 
-    monkeypatch.setattr(script, "render_judgment", counting)
+    monkeypatch.setattr(script.CheckedProof.rendered, "func", counting)
     result = run_script(parse(prelude_source(), allow_dotted=True))
     assert result.ok and len(result.checked) == 17
     assert rendered == []
@@ -595,10 +597,16 @@ def test_echoes_are_rendered_only_when_read(monkeypatch):
     assert [d.message for d in echoes] == [
         f"proof {c.name}: {render_judgment(c.judgment)}" for c in result.checked
     ]
-    assert len(rendered) == 17
+    assert len(rendered) == 17  # one render per echo, of that echo's proof
+    assert all(r is c for r, c in zip(rendered, result.checked))
     assert all(d.message.startswith("proof ") for d in echoes)  # a second read
     assert len(rendered) == 17
     assert all((d.kind, d.span[0] < d.span[1]) == ("note", True) for d in echoes)
+    # the dump reads the echoes' renderings and renders nothing itself
+    for name in ("render_term", "render_type"):
+        monkeypatch.setattr(script, name, rendered.append)
+    assert len(dump(result.checked, "judgments").splitlines()) == 17
+    assert len(rendered) == 17
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,42 @@ def test_renderer_freshens_shadowed_display_hints():
     assert parse_type(rendered_type) == r
 
 
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        # a hint that names a free `Var` elsewhere in the term, not in the body
+        (App(Var("y"), Lam("y", Bound(0))), "y (\\y. y)"),
+        (App(Lam("y", Lam("z", Bound(1))), Lam("w", Var("y"))), "(\\y. \\z. y) (\\w. y)"),
+        # a hint equal to an enclosing binder's chosen name, with and without
+        # the body referring to it
+        (Lam("x", Lam("x", App(Bound(1), Bound(0)))), "\\x. \\x1. x x1"),
+        (Lam("x", Lam("x", Bound(0))), "\\x. \\x. x"),
+        (Lam("y", App(Var("y"), Lam("y1", App(Bound(1), Bound(0))))), "\\y1. y (\\y11. y1 y11)"),
+        (Lam("y", App(Var("y"), Lam("y1", Bound(0)))), "\\y1. y (\\y1. y1)"),
+        # ... and with the body referring to another enclosing binder only
+        (Lam("x", Lam("y", Lam("x", Bound(1)))), "\\x. \\y. \\x. y"),
+        (Lam("x", Lam("y", Lam("x", App(Bound(2), Bound(1))))), "\\x. \\y. \\x1. x y"),
+        (Lam("x", Lam("x", Lam("y", App(Bound(2), Bound(1))))), "\\x. \\x1. \\y. x x1"),
+        # empty hints
+        (Lam("", Bound(0)), "\\x. x"),
+        (Lam("", App(Var("x"), Bound(0))), "\\x1. x x1"),
+        (Lam("", Lam("", App(Bound(1), Bound(0)))), "\\x. \\x1. x x1"),
+        # a free `Var` named like a fallback, in the body and elsewhere
+        (Lam("x", App(Var("x"), App(Var("x1"), Bound(0)))), "\\x2. x (x1 x2)"),
+        (Lam("x", Lam("x", App(App(Bound(1), Bound(0)), Var("x1")))), "\\x. \\x2. x x2 x1"),
+        (App(Var("x1"), Lam("x", Lam("x", App(Bound(1), Bound(0))))), "x1 (\\x. \\x1. x x1)"),
+    ],
+)
+def test_binders_that_skip_the_scope_walk_match_the_opening_renderer(t, text):
+    # A binder whose hint is no `Var` name of the term and no name of an
+    # enclosing binder its body can reach keeps it without a scope walk; each
+    # case here either takes that path or must not.
+    assert render_term(t) == reference_render.render_term(t) == text
+    assert parse_term(text) == t
+    proof = PConv(t, PVar("u"), t)
+    assert render_proof(proof) == reference_render_sets.render_proof(proof)
+
+
 @pytest.fixture(scope="module")
 def scoped_samples():
     """5,000 scoped terms and types from one seed, drawn once for both renderer sweeps."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 import reference_systemf as reference
+from derived_rules import bool_discrimination
 from generators import random_scoped_type, random_type, random_unchecked_proof, type_strategy
 from proof_tools import app, checked_proofs, rename_binders
 from reference_systemf import SHADOWING_VIOLATION, weaken_f
@@ -24,7 +25,7 @@ from reltt.kernel import (
     PVar,
     check,
 )
-from reltt.prelude import bool_discrimination, stdlib
+from reltt.prelude import stdlib
 from reltt.syntax import (
     All,
     App,
